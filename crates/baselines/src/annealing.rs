@@ -12,13 +12,12 @@
 //! which large signals end up cut; `thorough` reproduces that role, `fast`
 //! is for quick runs.
 
+use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::{Bipartition, Bipartitioner, PartitionError};
 use fhp_hypergraph::{Hypergraph, VertexId};
 use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-use crate::moves::{random_balanced_start, MoveState};
 
 /// Simulated-annealing bipartitioner.
 ///

@@ -9,13 +9,12 @@
 //! wraps it with the seeded random-restart *bipartitioner* front the
 //! baseline comparisons use.
 
+use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::{Bipartition, Bipartitioner, FmRefiner, PartitionError};
 use fhp_hypergraph::Hypergraph;
 use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::moves::{random_balanced_start, MoveState};
 
 /// Fiduccia–Mattheyses bipartitioner with an r-style weight-balance
 /// criterion.

@@ -13,13 +13,12 @@
 //! bound) decides. This keeps the per-pass cost at `O(n²)`-ish, the
 //! `O(n² log n)` regime the paper quotes for 2-opt KL.
 
+use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::{Bipartition, Bipartitioner, PartitionError};
 use fhp_hypergraph::{Hypergraph, VertexId};
 use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-
-use crate::moves::{random_balanced_start, MoveState};
 
 /// Kernighan–Lin min-cut bipartitioner (the paper's "MinCut-KL" column).
 ///

@@ -13,15 +13,16 @@
 //!   test suite and the crossing-probability experiment;
 //! - [`Refined`] — any constructor followed by FM refinement (the
 //!   "Alg I + FM" hybrid the paper's future work points toward);
-//! - [`Multilevel`] — the `fhp_core::multilevel` V-cycle engine
-//!   (coarsen → partition → project → refine), the scheme that later
-//!   superseded all flat methods, packaged as a baseline bipartitioner;
 //! - [`SpectralBisection`] — Fiedler-vector bisection with a sweep cut,
 //!   standing in for the "graph space mapping" family the paper surveys.
 //!
+//! The multilevel V-cycle baseline, [`fhp_core::Multilevel`], lives in
+//! `fhp_core` next to the engine it wraps.
+//!
 //! All baselines implement [`fhp_core::Bipartitioner`], are fully seeded,
-//! and share one incremental-move engine ([`moves::MoveState`]) whose
-//! consistency is property-tested against the ground-truth metrics.
+//! and the move-based ones share one incremental-move engine
+//! ([`fhp_core::moves::MoveState`]) whose consistency is property-tested
+//! against the ground-truth metrics.
 //!
 //! # Examples
 //!
@@ -57,14 +58,10 @@ mod kl;
 mod random;
 mod spectral;
 
-pub mod moves;
-
 pub use annealing::SimulatedAnnealing;
 pub use exhaustive::{exhaustive_min_losers, Exhaustive, EXHAUSTIVE_VERTEX_LIMIT};
-pub use fhp_core::multilevel::Multilevel;
 pub use fm::FiducciaMattheyses;
 pub use hybrid::Refined;
 pub use kl::KernighanLin;
-pub use moves::{MoveState, MoveStateMismatch};
 pub use random::RandomCut;
 pub use spectral::SpectralBisection;

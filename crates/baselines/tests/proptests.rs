@@ -1,8 +1,8 @@
 //! Property tests for the move engine and the baseline partitioners.
 
-use fhp_baselines::moves::{random_balanced_start, MoveState};
-use fhp_baselines::{FiducciaMattheyses, KernighanLin, Multilevel, Refined, SimulatedAnnealing};
-use fhp_core::{metrics, Bipartitioner, PartitionConfig};
+use fhp_baselines::{FiducciaMattheyses, KernighanLin, Refined, SimulatedAnnealing};
+use fhp_core::moves::{random_balanced_start, MoveState};
+use fhp_core::{metrics, Bipartitioner, Multilevel, PartitionConfig};
 use fhp_gen::RandomHypergraph;
 use fhp_hypergraph::{Hypergraph, VertexId};
 use proptest::prelude::*;

@@ -2,14 +2,14 @@
 //! CPU row and the §5 O(n²) claim, under Criterion's statistics.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
-use fhp_baselines::{FiducciaMattheyses, KernighanLin, Multilevel, SimulatedAnnealing};
+use fhp_baselines::{FiducciaMattheyses, KernighanLin, SimulatedAnnealing};
 use fhp_bench::{bench_instance, SIZES};
-use fhp_core::{Algorithm1, Bipartitioner, PartitionConfig};
+use fhp_core::{Algorithm1, Bipartitioner, Multilevel, PartitionConfig};
 use std::hint::black_box;
 
 fn bench_partitioners(c: &mut Criterion) {
     // This file was previously named `scaling`; that name now belongs to
-    // the large-instance streaming/zero-allocation bench.
+    // the large-instance pair-cap/zero-allocation bench.
     let mut group = c.benchmark_group("partitioners");
     group.sample_size(10);
     for &n in &SIZES {

@@ -1,4 +1,4 @@
-//! The million-edge scaling family: streaming dualization and the
+//! The million-edge scaling family: pair-capped dualization and the
 //! zero-allocation multi-start engine on [`fhp_gen::scaling_instance`]
 //! workloads at 10^5 / 10^6 / 10^7 signals, written to
 //! `BENCH_scaling.json` at the workspace root.
@@ -6,15 +6,18 @@
 //! Hard assertions run on every tier, even in smoke mode (`--test`, or
 //! `FHP_BENCH_SMOKE=1`):
 //!
-//! - the streaming dualizer, capped at `pairs_generated / 16`, builds a
-//!   graph (adjacency, weights, multiplicities) bit-identical to the
-//!   in-memory kernel at every thread count — the cap is real memory
-//!   pressure, not slack: the in-memory kernel's peak pair buffer
-//!   exceeds it by at least 10×;
-//! - the streaming peak pair buffer never exceeds the configured cap;
-//! - Algorithm 1 running entirely over the streaming dualizer produces
-//!   equal [`OutcomeFingerprint`]s at 1, 2 and 8 threads, equal to the
-//!   in-memory run's fingerprint.
+//! - the dualizer capped at `pairs_generated / 16` builds a graph
+//!   (adjacency, weights, multiplicities) bit-identical to the uncapped
+//!   build at every thread count — the cap is real memory pressure, not
+//!   slack: the uncapped build's peak pair buffer exceeds it by at least
+//!   10×;
+//! - the capped peak pair buffer never exceeds the configured cap;
+//! - Algorithm 1 running over the capped dualizer produces equal
+//!   [`OutcomeFingerprint`]s at 1, 2 and 8 threads, equal to the
+//!   uncapped run's fingerprint.
+//!
+//! The JSON keeps its historical key names: `inmem_*` is the uncapped
+//! build and `streaming_*` the capped one.
 //!
 //! Smoke mode covers the 10^5 tier only so CI stays under its bench
 //! budget; the full run (`cargo bench -p fhp-bench --bench scaling`)
@@ -31,8 +34,8 @@ const THREADS: [usize; 3] = [1, 2, 8];
 const THRESHOLD: usize = 10;
 const STARTS: usize = 2;
 const SEED: u64 = 1;
-/// The in-memory kernel holds the whole pair stream; the streaming cap
-/// is set this many times smaller, so the bounded buffer is exercised
+/// An uncapped build holds the whole pair stream in one pass; the cap is
+/// set this many times smaller, so the bounded buffer is exercised
 /// for real (and the ≥ 10× pressure assertion has 6× headroom).
 const CAP_RATIO: u64 = 16;
 
@@ -41,26 +44,23 @@ struct Tier {
     modules: usize,
     pins: usize,
     gen_wall_ns: u128,
-    inmem: DualizeStats,
-    inmem_wall_ns: u128,
+    uncapped: DualizeStats,
+    uncapped_wall_ns: u128,
     pair_cap: u64,
-    streaming: DualizeStats,
-    streaming_wall_ns: Vec<u128>,
+    capped: DualizeStats,
+    capped_wall_ns: Vec<u128>,
     alg1_wall_ns: Vec<u128>,
     cut_size: usize,
     chosen_start: Option<usize>,
 }
 
 fn run_alg1(h: &Hypergraph, threads: usize, pair_cap: Option<usize>) -> PartitionOutcome {
-    let mut config = PartitionConfig::new()
+    let config = PartitionConfig::new()
         .starts(STARTS)
         .seed(SEED)
         .threads(threads)
         .edge_size_threshold(Some(THRESHOLD));
-    if pair_cap.is_some() {
-        config = config.streaming_dualize(true).pair_cap(pair_cap);
-    }
-    Algorithm1::new(config)
+    Algorithm1::new(config.pair_cap(pair_cap))
         .run(h)
         .expect("tier instance is valid")
 }
@@ -71,61 +71,61 @@ fn measure_tier(signals: usize) -> Tier {
     let gen_wall_ns = started.elapsed().as_nanos();
     assert_eq!(h.num_edges(), signals);
 
-    // Reference build: the in-memory kernel materializes the entire pair
-    // stream, so its peak pair buffer is the pair count itself.
+    // Reference build: uncapped, one pass over the entire pair stream, so
+    // its peak pair buffer is the pair count itself.
     let started = Instant::now();
-    let inmem = Dualizer::new()
+    let uncapped = Dualizer::new()
         .threshold(Some(THRESHOLD))
         .threads(2)
         .build(&h)
         .expect("fits u32 ids");
-    let inmem_wall_ns = started.elapsed().as_nanos();
-    let pairs = inmem.stats().pairs_generated;
+    let uncapped_wall_ns = started.elapsed().as_nanos();
+    let pairs = uncapped.stats().pairs_generated;
     let pair_cap = (pairs / CAP_RATIO).max(1);
     assert!(
-        inmem.stats().peak_pair_buffer >= 10 * pair_cap,
-        "acceptance: the cap must represent >= 10x memory pressure on the in-memory \
-         kernel (peak {}, cap {pair_cap})",
-        inmem.stats().peak_pair_buffer
+        uncapped.stats().peak_pair_buffer >= 10 * pair_cap,
+        "acceptance: the cap must represent >= 10x memory pressure on the uncapped \
+         build (peak {}, cap {pair_cap})",
+        uncapped.stats().peak_pair_buffer
     );
 
-    // Streaming build at every thread count: identical graph, bounded
+    // Capped build at every thread count: identical graph, bounded
     // buffer.
-    let mut streaming = None;
-    let mut streaming_wall_ns = Vec::new();
+    let mut capped = None;
+    let mut capped_wall_ns = Vec::new();
     for &t in &THREADS {
         let started = Instant::now();
         let ig = Dualizer::new()
             .threshold(Some(THRESHOLD))
             .threads(t)
             .pair_cap(Some(pair_cap as usize))
-            .build_streaming(&h)
+            .build(&h)
             .expect("fits u32 ids");
-        streaming_wall_ns.push(started.elapsed().as_nanos());
+        capped_wall_ns.push(started.elapsed().as_nanos());
         assert!(
             ig.stats().peak_pair_buffer <= pair_cap,
-            "streaming peak pair buffer {} exceeds the cap {pair_cap} at threads = {t}",
+            "capped peak pair buffer {} exceeds the cap {pair_cap} at threads = {t}",
             ig.stats().peak_pair_buffer
         );
         assert_eq!(
             ig.graph(),
-            inmem.graph(),
-            "streaming graph differs from the in-memory kernel at threads = {t}"
+            uncapped.graph(),
+            "capped graph differs from the uncapped build at threads = {t}"
         );
-        for g in inmem.graph().vertices() {
+        for g in uncapped.graph().vertices() {
             assert_eq!(
                 ig.multiplicities_of(g),
-                inmem.multiplicities_of(g),
-                "streaming multiplicities of {g} differ at threads = {t}"
+                uncapped.multiplicities_of(g),
+                "capped multiplicities of {g} differ at threads = {t}"
             );
         }
-        streaming = Some(ig.stats().clone());
+        capped = Some(ig.stats().clone());
     }
-    let streaming = streaming.expect("THREADS is non-empty");
+    let capped = capped.expect("THREADS is non-empty");
 
-    // Algorithm 1 end to end over the streaming dualizer: the
-    // fingerprint is thread-invariant and equal to the in-memory run.
-    let inmem_outcome = run_alg1(&h, 2, None);
+    // Algorithm 1 end to end over the capped dualizer: the fingerprint is
+    // thread-invariant and equal to the uncapped run.
+    let uncapped_outcome = run_alg1(&h, 2, None);
     let mut alg1_wall_ns = Vec::new();
     let mut first = None;
     for &t in &THREADS {
@@ -134,16 +134,16 @@ fn measure_tier(signals: usize) -> Tier {
         alg1_wall_ns.push(started.elapsed().as_nanos());
         assert_eq!(
             out.fingerprint(),
-            inmem_outcome.fingerprint(),
-            "streaming alg1 at threads = {t} diverged from the in-memory run"
+            uncapped_outcome.fingerprint(),
+            "capped alg1 at threads = {t} diverged from the uncapped run"
         );
         first.get_or_insert(out);
     }
     let out = first.expect("THREADS is non-empty");
     println!(
-        "scaling/{signals}: pairs {pairs}, cap {pair_cap}, streaming passes {}, \
+        "scaling/{signals}: pairs {pairs}, cap {pair_cap}, capped passes {}, \
          spilled {} bytes, cut {}",
-        streaming.passes, streaming.bytes_spilled, out.report.cut_size
+        capped.passes, capped.bytes_spilled, out.report.cut_size
     );
 
     Tier {
@@ -151,11 +151,11 @@ fn measure_tier(signals: usize) -> Tier {
         modules: h.num_vertices(),
         pins: h.num_pins(),
         gen_wall_ns,
-        inmem: inmem.stats().clone(),
-        inmem_wall_ns,
+        uncapped: uncapped.stats().clone(),
+        uncapped_wall_ns,
         pair_cap,
-        streaming,
-        streaming_wall_ns,
+        capped,
+        capped_wall_ns,
         alg1_wall_ns,
         cut_size: out.report.cut_size,
         chosen_start: out.stats.chosen_start,
@@ -204,31 +204,31 @@ fn main() {
         let _ = writeln!(
             json,
             "      \"pairs_generated\": {},",
-            c.inmem.pairs_generated
+            c.uncapped.pairs_generated
         );
-        let _ = writeln!(json, "      \"unique_edges\": {},", c.inmem.unique_edges);
+        let _ = writeln!(json, "      \"unique_edges\": {},", c.uncapped.unique_edges);
         let _ = writeln!(json, "      \"pair_cap\": {},", c.pair_cap);
         let _ = writeln!(
             json,
             "      \"inmem_peak_pair_buffer\": {},",
-            c.inmem.peak_pair_buffer
+            c.uncapped.peak_pair_buffer
         );
-        let _ = writeln!(json, "      \"inmem_wall_ns\": {},", c.inmem_wall_ns);
+        let _ = writeln!(json, "      \"inmem_wall_ns\": {},", c.uncapped_wall_ns);
         let _ = writeln!(
             json,
             "      \"streaming_peak_pair_buffer\": {},",
-            c.streaming.peak_pair_buffer
+            c.capped.peak_pair_buffer
         );
-        let _ = writeln!(json, "      \"streaming_passes\": {},", c.streaming.passes);
+        let _ = writeln!(json, "      \"streaming_passes\": {},", c.capped.passes);
         let _ = writeln!(
             json,
             "      \"streaming_bytes_spilled\": {},",
-            c.streaming.bytes_spilled
+            c.capped.bytes_spilled
         );
         let _ = writeln!(
             json,
             "      \"streaming_wall_ns\": {},",
-            json_list(&c.streaming_wall_ns)
+            json_list(&c.capped_wall_ns)
         );
         let _ = writeln!(
             json,

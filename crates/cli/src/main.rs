@@ -13,13 +13,11 @@
 //!   -s, --starts <N>        random longest paths for alg1 (default 50)
 //!       --seed <S>          RNG seed (default 0)
 //!       --threads <N>       worker threads for alg1's multi-start engine
-//!                           (default 0 = one per core; the cut is
-//!                           identical for every value)
+//!                           and dualization chunks (default 0 = one per
+//!                           core; the cut is identical for every value)
 //!   -t, --threshold <K>     ignore signals with K or more pins
-//!       --streaming-dualize  build G with the bounded-memory streaming
-//!                           dualizer (same graph, capped pair buffer)
-//!       --pair-cap <N>      cap the streaming dualizer's raw pair buffer
-//!                           at N pairs (requires --streaming-dualize)
+//!       --pair-cap <N>      build G in passes of at most N raw pairs
+//!                           (same graph, bounded pair buffer)
 //!       --balance           engineer's-method weighted completion (alg1)
 //!       --objective <cut|quotient|ratio>     alg1 ranking objective
 //!       --multilevel        multilevel V-cycle mode: coarsen by heavy-edge
@@ -84,7 +82,6 @@ struct Options {
     seed: u64,
     threads: usize,
     threshold: Option<usize>,
-    streaming_dualize: bool,
     pair_cap: Option<usize>,
     balance: bool,
     objective: Objective,
@@ -112,7 +109,6 @@ fn parse_args() -> Result<Options, String> {
         seed: 0,
         threads: 0,
         threshold: None,
-        streaming_dualize: false,
         pair_cap: None,
         balance: false,
         objective: Objective::CutSize,
@@ -157,7 +153,6 @@ fn parse_args() -> Result<Options, String> {
                         .map_err(|_| "threshold must be an integer".to_string())?,
                 )
             }
-            "--streaming-dualize" => opts.streaming_dualize = true,
             "--pair-cap" => {
                 let n: usize = value("--pair-cap")?
                     .parse()
@@ -241,9 +236,6 @@ fn parse_args() -> Result<Options, String> {
     }
     if opts.path.is_none() && !opts.demo {
         return Err("expected a netlist file (or --demo)".to_string());
-    }
-    if opts.pair_cap.is_some() && !opts.streaming_dualize {
-        return Err("--pair-cap requires --streaming-dualize".to_string());
     }
     if !opts.multilevel {
         if opts.vcycles.is_some() {
@@ -340,7 +332,6 @@ fn main() -> ExitCode {
         .seed(opts.seed)
         .threads(opts.threads)
         .edge_size_threshold(opts.threshold)
-        .streaming_dualize(opts.streaming_dualize)
         .pair_cap(opts.pair_cap)
         .completion(completion)
         .objective(opts.objective)
@@ -720,7 +711,6 @@ fn run_place(opts: &Options, netlist: &Netlist, rows: usize, cols: usize) -> Exi
         .starts(opts.starts.min(10))
         .threads(opts.threads)
         .edge_size_threshold(opts.threshold)
-        .streaming_dualize(opts.streaming_dualize)
         .pair_cap(opts.pair_cap)
         .objective(opts.objective);
     let seed = opts.seed;
@@ -780,7 +770,6 @@ fn run_multiway(opts: &Options, netlist: &Netlist) -> ExitCode {
         .starts(opts.starts)
         .threads(opts.threads)
         .edge_size_threshold(opts.threshold)
-        .streaming_dualize(opts.streaming_dualize)
         .pair_cap(opts.pair_cap)
         .completion(completion)
         .objective(opts.objective);
@@ -841,13 +830,12 @@ fn usage() -> &'static str {
      \x20 -a, --algorithm <alg1|kl|fm|sa|random>  partitioner (default alg1)\n\
      \x20 -s, --starts <N>      random longest paths for alg1 (default 50)\n\
      \x20     --seed <S>        RNG seed (default 0)\n\
-     \x20     --threads <N>     alg1 worker threads (default 0 = one per core;\n\
-     \x20                       same cut for every value)\n\
+     \x20     --threads <N>     alg1 worker threads for the multi-start engine\n\
+     \x20                       and dualization chunks (default 0 = one per\n\
+     \x20                       core; same cut for every value)\n\
      \x20 -t, --threshold <K>   ignore signals with K or more pins\n\
-     \x20     --streaming-dualize  build G with the bounded-memory streaming\n\
-     \x20                       dualizer (same graph, capped pair buffer)\n\
-     \x20     --pair-cap <N>    cap the streaming dualizer's raw pair buffer\n\
-     \x20                       at N pairs (requires --streaming-dualize)\n\
+     \x20     --pair-cap <N>    build G in passes of at most N raw pairs\n\
+     \x20                       (same graph, bounded pair buffer)\n\
      \x20     --balance         engineer's-method weighted completion\n\
      \x20     --objective <cut|quotient|ratio>\n\
      \x20     --multilevel      multilevel V-cycle mode: coarsen by heavy-edge\n\

@@ -680,6 +680,90 @@ fn multilevel_flag_values_are_validated() {
 }
 
 #[test]
+fn pair_cap_changes_only_the_pass_counters() {
+    // 40 signals of 3 pins over 30 modules: pins i, i+1 and i+4 (mod 30)
+    let netlist: String = (0..40)
+        .map(|i| format!("s{i}: m{} m{} m{}\n", i % 30, (i + 1) % 30, (i + 4) % 30))
+        .collect();
+    let path = std::env::temp_dir().join("fhp_cli_pair_cap.net");
+    std::fs::write(&path, netlist).unwrap();
+    let file = path.to_str().unwrap();
+    let report = |extra: &[&str]| -> Vec<String> {
+        let mut args = vec![file, "-s", "6", "--seed", "3", "--stats", "--threads", "1"];
+        args.extend_from_slice(extra);
+        let (stdout, stderr, ok) = run(&args);
+        assert!(ok, "{stderr}");
+        stdout.lines().map(str::to_string).collect()
+    };
+    let stat = |lines: &[String], key: &str| -> u64 {
+        lines
+            .iter()
+            .find_map(|l| l.strip_prefix(&format!("[stats] {key} ")))
+            .unwrap_or_else(|| panic!("missing {key}"))
+            .trim()
+            .parse()
+            .expect("numeric stat")
+    };
+    // timings and allocator tallies vary run to run (one thread keeps
+    // arena_reuse_hits fixed); the pass counters and the chunk count, one
+    // chunk per capped pass, follow the cap
+    let stable = |lines: &[String]| -> Vec<String> {
+        const PASS_KEYS: [&str; 4] = [
+            "dualize_shards",
+            "dualize_passes",
+            "dualize_peak_pair_buffer",
+            "dualize_bytes_spilled",
+        ];
+        lines
+            .iter()
+            .filter(|l| {
+                let volatile = match l.strip_prefix("[stats] ") {
+                    Some(rest) => {
+                        let key = rest.split_whitespace().next().unwrap_or("");
+                        key.ends_with("_wall_us")
+                            || key.starts_with("mem_")
+                            || PASS_KEYS.contains(&key)
+                    }
+                    None => l.starts_with("elapsed:"),
+                };
+                !volatile
+            })
+            .cloned()
+            .collect()
+    };
+    let uncapped = report(&[]);
+    let capped = report(&["--pair-cap", "1"]);
+    assert_eq!(stable(&capped), stable(&uncapped));
+    let pairs = stat(&uncapped, "dualize_pairs_generated");
+    assert!(pairs > 1, "the instance must need several passes");
+    assert_eq!(stat(&uncapped, "dualize_passes"), 1);
+    assert_eq!(stat(&uncapped, "dualize_peak_pair_buffer"), pairs);
+    assert_eq!(stat(&uncapped, "dualize_bytes_spilled"), 0);
+    assert_eq!(stat(&capped, "dualize_passes"), pairs.div_ceil(1));
+    assert_eq!(stat(&capped, "dualize_shards"), pairs);
+    assert_eq!(stat(&capped, "dualize_peak_pair_buffer"), 1);
+    assert!(stat(&capped, "dualize_bytes_spilled") > 0);
+
+    let (_, stderr, ok) = run(&[file, "--pair-cap", "0"]);
+    assert!(!ok);
+    assert!(stderr.contains("pair cap"), "{stderr}");
+}
+
+#[test]
+fn removed_streaming_flag_is_an_unknown_option() {
+    let out = fhp()
+        .args(["--demo", "--streaming-dualize"])
+        .output()
+        .expect("binary runs");
+    assert_eq!(out.status.code(), Some(2));
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown option `--streaming-dualize`"),
+        "{stderr}"
+    );
+}
+
+#[test]
 fn bad_usage_fails_with_help() {
     let (_, stderr, ok) = run(&[]);
     assert!(!ok);

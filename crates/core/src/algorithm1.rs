@@ -79,7 +79,6 @@ pub struct PartitionConfig {
     objective: Objective,
     front_policy: FrontPolicy,
     multilevel: Option<MultilevelConfig>,
-    streaming_dualize: bool,
     pair_cap: Option<usize>,
 }
 
@@ -94,7 +93,6 @@ impl Default for PartitionConfig {
             objective: Objective::CutSize,
             front_policy: FrontPolicy::Both,
             multilevel: None,
-            streaming_dualize: false,
             pair_cap: None,
         }
     }
@@ -125,11 +123,12 @@ impl PartitionConfig {
         self
     }
 
-    /// Worker threads for the multi-start engine (default 1; `0` means
-    /// one per available core). Every start draws from its own
-    /// counter-derived RNG stream and the reduction is by start index, so
-    /// the outcome is bit-identical for every thread count — this knob
-    /// only trades wall-clock time.
+    /// Worker threads for the multi-start engine and the dualization
+    /// kernel's chunks (default 1; `0` means one per available core).
+    /// Every start draws from its own counter-derived RNG stream, the
+    /// reduction is by start index, and the dual graph is the same for
+    /// every chunking, so the outcome is bit-identical for every thread
+    /// count — this knob only trades wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
         self.threads = threads;
         self
@@ -171,20 +170,11 @@ impl PartitionConfig {
         self
     }
 
-    /// Builds the intersection graph with the streaming dualizer
-    /// ([`Dualizer::build_streaming`]) instead of the in-memory kernel
-    /// (default `false`). The built graph is byte-identical either way;
-    /// streaming bounds the peak pair buffer — see
-    /// [`pair_cap`](Self::pair_cap) — at the cost of extra merge passes.
-    pub fn streaming_dualize(mut self, streaming: bool) -> Self {
-        self.streaming_dualize = streaming;
-        self
-    }
-
-    /// Caps the streaming dualizer's in-flight pair buffer at `cap`
-    /// entries (default `None` — a heuristic cap). Requires
-    /// [`streaming_dualize`](Self::streaming_dualize); rejected by
-    /// validation otherwise.
+    /// Caps the dualizer's raw pair buffer at `cap` pairs per pass
+    /// (default `None` — no cap: one pass over the whole pair stream).
+    /// The built graph is byte-identical for every cap; a cap bounds the
+    /// peak pair buffer at the cost of extra merge passes (see
+    /// [`Dualizer::pair_cap`]). A cap of 0 is rejected by validation.
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
         self.pair_cap = cap;
         self
@@ -195,12 +185,7 @@ impl PartitionConfig {
         self.multilevel
     }
 
-    /// Whether the streaming dualizer is enabled.
-    pub fn streaming_dualize_value(&self) -> bool {
-        self.streaming_dualize
-    }
-
-    /// The configured streaming pair-buffer cap.
+    /// The configured dualizer pair-buffer cap.
     pub fn pair_cap_value(&self) -> Option<usize> {
         self.pair_cap
     }
@@ -254,11 +239,6 @@ impl PartitionConfig {
         if self.pair_cap == Some(0) {
             return Err(PartitionError::InvalidConfig {
                 reason: "pair cap must be at least 1",
-            });
-        }
-        if self.pair_cap.is_some() && !self.streaming_dualize {
-            return Err(PartitionError::InvalidConfig {
-                reason: "pair cap requires the streaming dualizer",
             });
         }
         if let Some(ml) = &self.multilevel {
@@ -528,19 +508,15 @@ impl Algorithm1 {
         }
 
         // The dualization kernel takes the raw `threads` knob (not clamped
-        // to `starts`): shard parallelism is independent of how many
+        // to `starts`): chunk parallelism is independent of how many
         // starts there are, and the built graph is thread-count-invariant.
-        let dualizer = Dualizer::new()
+        let ig = Dualizer::new()
             .threshold(self.config.edge_size_threshold)
             .threads(self.config.threads)
             .pair_cap(self.config.pair_cap)
             .collector(self.collector.clone())
-            .progress(self.progress.clone());
-        let ig = if self.config.streaming_dualize {
-            dualizer.build_streaming(h)?
-        } else {
-            dualizer.build(h)?
-        };
+            .progress(self.progress.clone())
+            .build(h)?;
         let mut phases = PhaseStats {
             dualize: ig.stats().clone(),
             ..PhaseStats::default()

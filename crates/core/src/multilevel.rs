@@ -466,8 +466,7 @@ fn respecting_cycle(
 
 /// Multilevel V-cycle bipartitioner: [`Algorithm1`] with the multilevel
 /// mode enabled on the paper's preset, packaged as a [`Bipartitioner`]
-/// for the experiment tables (this is what `fhp_baselines::Multilevel`
-/// re-exports).
+/// for the experiment tables.
 ///
 /// # Examples
 ///

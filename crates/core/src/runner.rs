@@ -28,11 +28,14 @@
 //!    the process — a panic crossing a [`std::thread::scope`] join would
 //!    otherwise propagate).
 //!
-//! The engine is generic over the per-start work so the containment and
-//! determinism machinery can be tested in isolation from the partitioner.
+//! The engine has one entry point, [`run_starts_arena`]. It is generic
+//! over the per-start work, so the containment and determinism machinery
+//! can be tested in isolation from the partitioner; each worker reuses
+//! one scratch arena across its starts, and per-start tracing scopes are
+//! built only when the collector is enabled.
 //!
 //! The same claim-by-atomic-counter / record-by-index pattern (points 2
-//! and 3 minus containment) powers the sparse dualization kernel's shard
+//! and 3 minus containment) powers the sparse dualization kernel's chunk
 //! pool in `fhp_hypergraph::intersection` — that crate sits below this
 //! one, so it carries its own copy rather than depending upward.
 
@@ -93,9 +96,9 @@ pub struct StartRecord<T> {
     pub events: ScopeEvents,
 }
 
-/// Runs `work(i)` for every `i in 0..starts` across `workers` scoped
-/// threads and returns the records **in index order**, regardless of
-/// which worker finished what when.
+/// Runs `work(i, arena, scope)` for every `i in 0..starts` across
+/// `workers` scoped threads and returns the records **in index order**,
+/// regardless of which worker finished what when.
 ///
 /// `work` must be a pure function of its index (up to timing); that is
 /// what makes the caller's reduction bit-identical for every `workers`
@@ -103,112 +106,24 @@ pub struct StartRecord<T> {
 /// panicking call is contained and recorded, and the remaining starts
 /// still run.
 ///
-/// # Examples
+/// Every worker owns one reusable arena `A`, created lazily by
+/// `make_arena` on the worker's first claimed start and handed by `&mut`
+/// to every start it runs afterwards, so index-pure per-start work can
+/// execute with **zero heap allocation after warm-up**. Callers with no
+/// scratch state pass `|| ()`.
 ///
-/// ```
-/// use fhp_core::runner::run_starts;
-///
-/// let records = run_starts(8, 4, |i| i * i);
-/// assert_eq!(records.len(), 8);
-/// assert_eq!(records[3].index, 3);
-/// assert_eq!(records[3].outcome, Ok(9));
-/// ```
-pub fn run_starts<T, F>(starts: usize, workers: usize, work: F) -> Vec<StartRecord<T>>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    run_starts_traced(starts, workers, &Collector::disabled(), |index, _| {
-        work(index)
-    })
-}
-
-/// [`run_starts`] with tracing: each start records into its own
-/// [`Scope`] keyed by `order::start(index)`, whose root span is
-/// `runner.start` and whose buffer comes back in the record's `events`.
-/// Scope timestamps share `collector`'s epoch, but nothing is adopted
-/// into it here — the caller owns that decision (typically after reading
-/// the buffer for its phase facade).
-///
-/// Per-start scopes (rather than per-*worker* scopes) are what keep the
-/// merged trace identical across worker counts: the event sequence is a
-/// pure function of `(starts, work)`, and only the volatile `thread`
-/// field betrays which worker ran what.
-pub fn run_starts_traced<T, F>(
-    starts: usize,
-    workers: usize,
-    collector: &Collector,
-    work: F,
-) -> Vec<StartRecord<T>>
-where
-    T: Send,
-    F: Fn(usize, &Scope) -> T + Sync,
-{
-    let run_one = |index: usize| -> StartRecord<T> {
-        let scope = collector.scope(order::start(index), Some(index as u32)); // fhp-audit: allow(as-cast-truncation) — start index bounded by the start count, well below u32::MAX
-                                                                              // fhp-audit: allow(wallclock-in-fingerprint) — times the volatile wall field only
-        let started = Instant::now();
-        let outcome = {
-            let _root = scope.span(names::RUNNER_START);
-            // A panic unwinds the work's open span guards before being
-            // caught, so the scope's stack is consistent either way.
-            catch_unwind(AssertUnwindSafe(|| work(index, &scope))).map_err(panic_message)
-        };
-        StartRecord {
-            index,
-            wall: started.elapsed(),
-            outcome,
-            events: scope.finish(),
-        }
-    };
-
-    let workers = workers.clamp(1, starts.max(1));
-    if workers == 1 {
-        return (0..starts).map(run_one).collect();
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<StartRecord<T>>>> = Mutex::new((0..starts).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches merged output
-                if index >= starts {
-                    break;
-                }
-                let record = run_one(index);
-                // work panics are contained by run_one, so a poisoned lock
-                // can only mean another worker died storing a record; the
-                // records already stored are still good — keep going
-                let mut slots = slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(slot) = slots.get_mut(index) {
-                    *slot = Some(record);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..starts exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every index was claimed exactly once"))
-        .collect()
-}
-
-/// [`run_starts_traced`] for hot loops: every worker owns one reusable
-/// arena `A`, created lazily by `make_arena` on the worker's first
-/// claimed start and handed by `&mut` to every start it runs afterwards,
-/// so index-pure per-start work can execute with **zero heap allocation
-/// after warm-up**.
-///
-/// Tracing is opt-in per run: a [`Scope`] is created (and the
-/// `runner.start` root span recorded) only when `collector`
-/// [is enabled](Collector::is_enabled) — recording into a scope buffer
-/// allocates, which would defeat the arena. With a disabled collector the
-/// work closure sees `None` and the records carry empty [`ScopeEvents`].
+/// Tracing is opt-in per run: a [`Scope`] keyed by `order::start(index)`
+/// is created (and its `runner.start` root span recorded) only when
+/// `collector` [is enabled](Collector::is_enabled) — recording into a
+/// scope buffer allocates, which would defeat the arena. With a disabled
+/// collector the work closure sees `None` and the records carry empty
+/// [`ScopeEvents`]. Scope timestamps share `collector`'s epoch, but
+/// nothing is adopted into it here — the caller owns that decision
+/// (typically after reading the buffer for its phase facade). Per-start
+/// scopes (rather than per-*worker* scopes) are what keep the merged
+/// trace identical across worker counts: the event sequence is a pure
+/// function of `(starts, work)`, and only the volatile `thread` field
+/// betrays which worker ran what.
 ///
 /// Returns the records in index order plus every arena the run actually
 /// created (workers that claim no start create none). The difference
@@ -220,9 +135,8 @@ where
 /// The determinism contract tightens accordingly: `work` must be a pure
 /// function of its index *given an arena in any prior state*, i.e. it
 /// must reset whatever arena state it reads at entry (every scratch type
-/// in this workspace does). Panics are contained exactly as in
-/// [`run_starts_traced`]; the poisoned worker's arena is handed to its
-/// next start as-is, which the reset-at-entry rule makes safe.
+/// in this workspace does). A panicking start's arena is handed to its
+/// worker's next start as-is, which the reset-at-entry rule makes safe.
 ///
 /// [`RunStats::arena_reuse_hits`]: crate::RunStats
 ///
@@ -243,6 +157,7 @@ where
 ///         scratch.len()
 ///     },
 /// );
+/// assert_eq!(records[5].index, 5);
 /// assert_eq!(records[5].outcome, Ok(5));
 /// assert!(!arenas.is_empty() && arenas.len() <= 2);
 /// ```
@@ -266,6 +181,8 @@ where
         let started = Instant::now();
         let outcome = {
             let _root = scope.as_ref().map(|s| s.span(names::RUNNER_START));
+            // A panic unwinds the work's open span guards before being
+            // caught, so the scope's stack is consistent either way.
             catch_unwind(AssertUnwindSafe(|| work(index, arena, scope.as_ref())))
                 .map_err(panic_message)
         };
@@ -297,7 +214,9 @@ where
                         break;
                     }
                     let record = run_one(index, arena.get_or_insert_with(&make_arena));
-                    // same poison rationale as run_starts_traced above
+                    // work panics are contained by run_one, so a poisoned
+                    // lock can only mean another worker died storing a
+                    // record; the records already stored are still good
                     let mut slots = slots
                         .lock()
                         .unwrap_or_else(std::sync::PoisonError::into_inner);
@@ -353,6 +272,22 @@ mod tests {
     use super::*;
     use rand::Rng;
 
+    /// The engine with a unit arena and no tracing.
+    fn run_plain<T: Send>(
+        starts: usize,
+        workers: usize,
+        work: impl Fn(usize) -> T + Sync,
+    ) -> Vec<StartRecord<T>> {
+        let (records, _) = run_starts_arena(
+            starts,
+            workers,
+            &Collector::disabled(),
+            || (),
+            |i, _arena, _scope| work(i),
+        );
+        records
+    }
+
     #[test]
     fn splitmix_streams_are_seed_functions() {
         let mut a = SplitMix64::for_start(42, 3);
@@ -368,7 +303,7 @@ mod tests {
     #[test]
     fn records_arrive_in_index_order_for_any_worker_count() {
         for workers in [1, 2, 3, 8, 64] {
-            let records = run_starts(23, workers, |i| 100 - i);
+            let records = run_plain(23, workers, |i| 100 - i);
             assert_eq!(records.len(), 23);
             for (i, r) in records.iter().enumerate() {
                 assert_eq!(r.index, i);
@@ -380,7 +315,7 @@ mod tests {
     #[test]
     fn results_identical_across_worker_counts() {
         let run = |workers| -> Vec<Result<u64, String>> {
-            run_starts(17, workers, |i| {
+            run_plain(17, workers, |i| {
                 let mut rng = SplitMix64::for_start(7, i);
                 (0..50)
                     .map(|_| rng.gen::<u64>())
@@ -397,7 +332,7 @@ mod tests {
 
     #[test]
     fn panics_are_contained_and_recorded() {
-        let records = run_starts(6, 3, |i| {
+        let records = run_plain(6, 3, |i| {
             assert!(i != 2 && i != 4, "start {i} poisoned");
             i
         });
@@ -415,9 +350,9 @@ mod tests {
 
     #[test]
     fn zero_starts_and_excess_workers() {
-        let empty = run_starts(0, 8, |i| i);
+        let empty = run_plain(0, 8, |i| i);
         assert!(empty.is_empty());
-        let one = run_starts(1, 8, |i| i + 1);
+        let one = run_plain(1, 8, |i| i + 1);
         assert_eq!(one.len(), 1);
         assert_eq!(one[0].outcome, Ok(1));
     }
@@ -449,17 +384,14 @@ mod tests {
     }
 
     #[test]
-    fn arena_results_match_traced_for_any_worker_count() {
+    fn arena_results_match_sequential_for_any_worker_count() {
         let work = |i: usize| {
             let mut rng = SplitMix64::for_start(11, i);
             (0..40)
                 .map(|_| rng.gen::<u64>())
                 .fold(0u64, u64::wrapping_add)
         };
-        let baseline: Vec<_> = run_starts(17, 1, work)
-            .into_iter()
-            .map(|r| r.outcome)
-            .collect();
+        let baseline: Vec<Result<u64, String>> = (0..17).map(|i| Ok(work(i))).collect();
         for workers in [1, 2, 8] {
             let (records, _) = run_starts_arena(
                 17,

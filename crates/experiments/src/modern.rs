@@ -8,8 +8,8 @@
 //! refining Alg I's cut close, and does Alg I's planted-cut superpower
 //! survive inside a V-cycle (it is the coarsest-level engine there).
 
-use fhp_baselines::{FiducciaMattheyses, Multilevel, Refined, SpectralBisection};
-use fhp_core::{metrics, Algorithm1, Bipartitioner, PartitionConfig};
+use fhp_baselines::{FiducciaMattheyses, Refined, SpectralBisection};
+use fhp_core::{metrics, Algorithm1, Bipartitioner, Multilevel, PartitionConfig};
 use fhp_gen::PaperInstance;
 
 use crate::util::{banner, fmt_duration, timed, Table};

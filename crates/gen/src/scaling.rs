@@ -1,6 +1,6 @@
 //! The large-instance scaling workload: the standard-cell circuit
 //! profile at 10^5–10^7 signals, used by the `scaling` bench family and
-//! the streaming-dualizer acceptance checks.
+//! the pair-capped dualizer acceptance checks.
 //!
 //! A thin preset over [`CircuitNetlist`] so every consumer (benches,
 //! tests, ad-hoc experiments) agrees on the exact workload definition:

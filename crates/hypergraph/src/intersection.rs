@@ -21,25 +21,33 @@
 //! module two signals share. The historical builder pushed every pair into
 //! a [`GraphBuilder`] edge list and deduplicated at the end, so a hub
 //! module of degree `d` cost `C(d, 2)` insertions *per hub* even when the
-//! pairs were all duplicates of each other. The kernel here instead:
+//! pairs were all duplicates of each other. [`Dualizer::build`] instead:
 //!
-//! 1. splits the module space into contiguous, **degree-bucketed shards**
-//!    (boundaries chosen so each shard owns roughly equal pair mass);
-//! 2. generates each shard's pairs locally, sorts them, and collapses
-//!    duplicates by run-length counting — keeping the count, the
-//!    *shared-module multiplicity*, as the G-edge weight;
-//! 3. k-way-merges the sorted shard runs (summing multiplicities of equal
-//!    pairs) and writes the CSR adjacency directly, never materializing a
-//!    global pair list.
+//! 1. numbers every pair in one global index space — vertex-major, and
+//!    row-major inside each module's `C(d, 2)` block — and cuts that space
+//!    into **passes** of at most [`Dualizer::pair_cap`] pairs (one pass
+//!    when uncapped). A pass boundary may fall inside a hub module's
+//!    block, which is what bounds the raw pair buffer even when one module
+//!    alone exceeds the cap;
+//! 2. generates each chunk's pairs, sorts them, and collapses duplicates
+//!    by run-length counting — keeping the count, the *shared-module
+//!    multiplicity*, as the G-edge weight;
+//! 3. folds the sorted runs with a balanced merge tree (summing the
+//!    multiplicities of equal pairs) and writes the CSR adjacency
+//!    directly from the merged list.
 //!
-//! Shards are data-parallel; a scoped worker pool (the same
+//! Chunks are the data-parallel work units: one per pass, except that an
+//! uncapped build with `threads > 1` splits its single pass into
+//! `min(2·threads, 32)` equal chunks. A scoped worker pool (the same
 //! claim-by-atomic-counter pattern as `fhp_core::runner`) executes them.
-//! The merged output is the sorted multiset union of the shard runs, which
-//! is a pure function of `(H, threshold)` — **not** of the shard
-//! boundaries, the worker count, or the completion order — so the built
-//! graph is bit-identical for every `threads` value. [`DualizeStats`]
-//! reports what the kernel did: pairs generated, duplicates merged, unique
-//! edges inserted, and wall time.
+//! The merged output is the sorted multiset union of the runs, which is a
+//! pure function of `(H, threshold)` — **not** of the cap, the chunking,
+//! the worker count, or the completion order — so the built graph is
+//! bit-identical for every `threads` and `pair_cap` value.
+//! [`DualizeStats`] reports what the kernel did: pairs generated,
+//! duplicates merged, unique edges inserted, passes, peak pair buffer,
+//! bytes spilled, and wall time. Every counter it records is a pure
+//! function of `(H, threshold, cap)`, never of `threads`.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -69,8 +77,8 @@ pub struct DualizeStats {
     /// the number of edge insertions the naive pair-spray builder
     /// performs.
     pub pairs_generated: u64,
-    /// Pairs collapsed into an already-seen adjacency (shard-local plus
-    /// cross-shard merging).
+    /// Pairs collapsed into an already-seen adjacency (chunk-local plus
+    /// cross-chunk merging).
     pub duplicates_merged: u64,
     /// Unique G-edges inserted into the CSR — the kernel's edge-insertion
     /// count.
@@ -79,24 +87,25 @@ pub struct DualizeStats {
     pub kept_edges: usize,
     /// Hyperedges dropped by the size threshold.
     pub filtered_edges: usize,
-    /// Shards the module space was split into.
+    /// Chunks the kernel ran: one per pass, or `min(2·threads, 32)` for
+    /// an uncapped build on several threads. It depends on `threads`, so
+    /// it is kept out of the recorded events.
     pub shards: usize,
     /// Worker threads the kernel ran with.
     pub threads: usize,
-    /// Generate→sort→dedup passes: 1 for the in-memory kernel and the
-    /// naive builder, `ceil(pairs_generated / cap)` for the streaming
-    /// kernel.
+    /// Generate→sort→dedup passes: `ceil(pairs_generated / cap)` for a
+    /// capped build, 1 for an uncapped build and the naive builder.
     pub passes: u64,
-    /// Largest raw (pre-dedup) pair buffer held at any moment. The
-    /// in-memory kernel materializes the whole pair stream across its
-    /// shard buffers, so this equals `pairs_generated`; the streaming
-    /// kernel never exceeds its configured pair cap. A pure function of
-    /// `(instance, threshold, cap)` — never of the thread count.
+    /// Largest raw (pre-dedup) pair buffer one pass holds:
+    /// `min(cap, pairs_generated)` for a capped build, `pairs_generated`
+    /// for an uncapped one (its single pass is the whole stream). A pure
+    /// function of `(instance, threshold, cap)` — never of the thread
+    /// count.
     pub peak_pair_buffer: u64,
-    /// Bytes of deduplicated per-pass runs the streaming kernel retired
-    /// out of its bounded pair buffer (12 bytes per unique
-    /// `(pair, multiplicity)` entry, summed over passes); 0 for the
-    /// in-memory kernel.
+    /// Bytes of deduplicated per-pass runs a capped build retired out of
+    /// its bounded pair buffer (12 bytes per unique
+    /// `(pair, multiplicity)` entry, summed over passes); 0 for an
+    /// uncapped build.
     pub bytes_spilled: u64,
     /// Wall-clock time of the whole dualization.
     pub wall: Duration,
@@ -176,7 +185,7 @@ impl Dualizer {
         self
     }
 
-    /// Worker threads for shard execution (default 1; `0` means one per
+    /// Worker threads for chunk execution (default 1; `0` means one per
     /// available core). The built graph is bit-identical for every value —
     /// this knob only trades wall-clock time.
     pub fn threads(mut self, threads: usize) -> Self {
@@ -184,10 +193,10 @@ impl Dualizer {
         self
     }
 
-    /// Caps the raw pair buffer of [`build_streaming`](Self::build_streaming)
-    /// (default `None` = one pass over the whole pair stream). A cap of 0
-    /// is treated as 1. [`Dualizer::build`] ignores the cap — the
-    /// in-memory kernel always materializes the full pair stream.
+    /// Caps the raw pair buffer of [`build`](Self::build) at `cap` pairs
+    /// per pass (default `None` = one pass over the whole pair stream). A
+    /// cap of 0 is treated as 1. The cap bounds memory, never semantics:
+    /// the built graph is the same for every value.
     pub fn pair_cap(mut self, cap: Option<usize>) -> Self {
         self.pair_cap = cap;
         self
@@ -212,122 +221,23 @@ impl Dualizer {
         self
     }
 
-    /// Runs the kernel on `h`.
+    /// Runs the kernel on `h`: the global pair-index space is cut into
+    /// passes of at most [`pair_cap`](Self::pair_cap) pairs (one pass when
+    /// uncapped), each pass generates, sorts and run-length-deduplicates
+    /// only its own pairs, and the sorted runs are merged into the CSR.
+    /// The chunk plan is a pure function of `(h, threshold, cap)` apart
+    /// from the uncapped multi-threaded split (see the
+    /// [module docs](self)), and the merge is an order-insensitive sorted
+    /// multiset union, so the built graph, mapping and multiplicities are
+    /// byte-identical for every cap and thread count — only
+    /// [`DualizeStats::passes`], [`DualizeStats::peak_pair_buffer`] and
+    /// [`DualizeStats::bytes_spilled`] follow the cap.
     ///
     /// # Errors
     ///
     /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
     /// overflow the `u32` G-vertex id space.
     pub fn build(&self, h: &Hypergraph) -> Result<IntersectionGraph, BuildGraphError> {
-        let threads = if self.threads == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
-        } else {
-            self.threads
-        };
-        let scope = self.collector.scope(order::DUALIZE, None);
-        let root = scope.span(names::DUALIZE);
-
-        let plan = scope.span(names::DUALIZE_PLAN);
-        let (kept, g_of) = keep_map(h, self.threshold)?;
-
-        // Pair mass per module; the shard boundaries below bucket by it.
-        let mut total_pairs = 0u64;
-        let mut vertex_pairs = Vec::with_capacity(h.num_vertices());
-        for v in h.vertices() {
-            let kd = h
-                .edges_of(v)
-                .iter()
-                .filter(|e| g_of[e.index()] != FILTERED) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                .count() as u64;
-            let p = kd * (kd.saturating_sub(1)) / 2;
-            vertex_pairs.push(p);
-            total_pairs += p;
-        }
-
-        let shards = if threads <= 1 {
-            1
-        } else {
-            // Overshard a little so dynamic claiming can smooth out skew.
-            (threads * 2).clamp(1, 32)
-        };
-        let bounds = shard_boundaries(&vertex_pairs, total_pairs, shards);
-        drop(plan);
-
-        // One span covers the whole parallel section: per-shard spans
-        // would make the event count a function of the threads knob and
-        // break cross-thread-count trace identity.
-        if let Some(p) = self.progress.as_deref() {
-            p.add(Gauge::DualizePassesTotal, 1);
-        }
-        let shards_span = scope.span(names::DUALIZE_SHARDS);
-        let progress = self.progress.as_deref();
-        let shard_out = run_shards(shards, threads, |s| {
-            let out = dualize_shard(h, &g_of, bounds[s]..bounds[s + 1]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            if let Some(p) = progress {
-                p.add(Gauge::DualizePairsRetired, out.generated);
-            }
-            out
-        });
-        drop(shards_span);
-        if let Some(p) = progress {
-            p.add(Gauge::DualizePassesDone, 1);
-        }
-
-        let pairs_generated: u64 = shard_out.iter().map(|s| s.generated).sum();
-        debug_assert_eq!(pairs_generated, total_pairs);
-        let merge_span = scope.span(names::DUALIZE_MERGE);
-        let (pairs, counts) = merge_shards(shard_out);
-        drop(merge_span);
-        let unique_edges = pairs.len() as u64;
-        let csr_span = scope.span(names::DUALIZE_CSR);
-        let (graph, shared) = csr_with_weights(kept.len(), &pairs, &counts);
-        drop(csr_span);
-
-        scope.counter(names::DUALIZE_PAIRS, pairs_generated);
-        scope.counter(names::DUALIZE_DUPS, pairs_generated - unique_edges);
-        scope.counter(names::DUALIZE_UNIQUE, unique_edges);
-        scope.counter(names::DUALIZE_KEPT, kept.len() as u64);
-        scope.counter(names::DUALIZE_FILTERED, (h.num_edges() - kept.len()) as u64);
-        scope.counter(names::DUALIZE_PASSES, 1);
-        scope.counter(names::DUALIZE_PEAK_PAIR_BUFFER, pairs_generated);
-        scope.counter(names::DUALIZE_BYTES_SPILLED, 0);
-        drop(root);
-
-        let recorded = scope.finish();
-        let stats = DualizeStats::from_recorded(&recorded.events, shards, threads);
-        self.collector.adopt(recorded);
-
-        Ok(IntersectionGraph {
-            graph,
-            shared,
-            kept,
-            g_of,
-            threshold: self.threshold,
-            stats,
-        })
-    }
-
-    /// Runs the *streaming* kernel on `h`: the global pair index space is
-    /// cut into chunks of at most [`pair_cap`](Self::pair_cap) pairs
-    /// (splitting hub modules mid-vertex when one module's `C(d, 2)`
-    /// pairs exceed the cap), and each pass generates, sorts and
-    /// run-length-deduplicates only its own chunk before retiring the
-    /// deduped run out of the bounded buffer. The runs are merged with an
-    /// order-insensitive sorted-multiset union, so the built graph,
-    /// mapping and multiplicities are byte-identical to
-    /// [`Dualizer::build`] for every cap and thread count — only
-    /// [`DualizeStats::passes`], [`DualizeStats::peak_pair_buffer`] and
-    /// [`DualizeStats::bytes_spilled`] change.
-    ///
-    /// The chunk plan is a pure function of `(h, threshold, cap)`; chunks
-    /// are the data-parallel work units, claimed by the same
-    /// atomic-counter worker pool as the in-memory kernel's shards.
-    ///
-    /// # Errors
-    ///
-    /// [`BuildGraphError::TooManyGVertices`] if the kept hyperedges
-    /// overflow the `u32` G-vertex id space.
-    pub fn build_streaming(&self, h: &Hypergraph) -> Result<IntersectionGraph, BuildGraphError> {
         let threads = if self.threads == 0 {
             std::thread::available_parallelism().map_or(1, |n| n.get())
         } else {
@@ -353,39 +263,63 @@ impl Dualizer {
             total_pairs += kd * (kd.saturating_sub(1)) / 2;
             prefix.push(total_pairs);
         }
-        let cap = match self.pair_cap {
-            Some(c) => (c as u64).max(1),
-            None => total_pairs.max(1),
-        };
+        let capped = self.pair_cap.is_some();
+        let cap = self.pair_cap.map_or(total_pairs, |c| c as u64).max(1);
         let passes = if total_pairs == 0 {
             1
         } else {
             total_pairs.div_ceil(cap)
         };
+        // One chunk per pass, except that an uncapped multi-threaded
+        // build splits its single pass into equal chunks, oversharded a
+        // little so dynamic claiming can smooth out skew.
+        let (chunks, chunk_len) = if !capped && threads > 1 {
+            let chunks = (threads * 2).min(32);
+            (chunks, total_pairs.div_ceil(chunks as u64).max(1))
+        } else {
+            (passes as usize, cap)
+        };
+        let split = chunks as u64 != passes;
         drop(plan);
 
-        if let Some(p) = self.progress.as_deref() {
+        // One span covers the whole parallel section: per-chunk spans
+        // would make the event count a function of the threads knob and
+        // break cross-thread-count trace identity.
+        let progress = self.progress.as_deref();
+        if let Some(p) = progress {
             p.add(Gauge::DualizePassesTotal, passes);
         }
         let shards_span = scope.span(names::DUALIZE_SHARDS);
-        let progress = self.progress.as_deref();
-        let runs = run_shards(passes as usize, threads, |c| {
-            let lo = c as u64 * cap;
-            let hi = ((c as u64 + 1) * cap).min(total_pairs);
+        let runs = run_chunks(chunks, threads, |c| {
+            let hi = ((c as u64 + 1) * chunk_len).min(total_pairs);
+            let lo = (c as u64 * chunk_len).min(hi);
             let out = dualize_chunk(h, &g_of, &prefix, lo, hi);
             if let Some(p) = progress {
                 p.add(Gauge::DualizePairsRetired, out.generated);
-                p.add(Gauge::DualizePassesDone, 1);
+                if !split {
+                    p.add(Gauge::DualizePassesDone, 1);
+                }
             }
             out
         });
         drop(shards_span);
+        if let Some(p) = progress.filter(|_| split) {
+            p.add(Gauge::DualizePassesDone, passes);
+        }
 
-        let pairs_generated: u64 = runs.iter().map(|s| s.generated).sum();
+        let pairs_generated: u64 = runs.iter().map(|r| r.generated).sum();
         debug_assert_eq!(pairs_generated, total_pairs);
-        let peak_pair_buffer = runs.iter().map(|s| s.generated).max().unwrap_or(0);
-        debug_assert!(peak_pair_buffer <= cap);
-        let bytes_spilled: u64 = runs.iter().map(|s| 12 * s.pairs.len() as u64).sum();
+        // A pass holds at most `cap` raw pairs; an uncapped build's one
+        // pass is the whole stream, however many chunks carried it.
+        let peak_pair_buffer = total_pairs.min(cap);
+        debug_assert!(runs.iter().all(|r| r.generated <= peak_pair_buffer));
+        // Only a capped build retires its deduplicated per-pass runs out
+        // of the bounded buffer; its chunks are exactly its passes.
+        let bytes_spilled: u64 = if capped {
+            runs.iter().map(|r| 12 * r.pairs.len() as u64).sum()
+        } else {
+            0
+        };
         let merge_span = scope.span(names::DUALIZE_MERGE);
         let (pairs, counts) = merge_run_tree(runs);
         drop(merge_span);
@@ -405,7 +339,7 @@ impl Dualizer {
         drop(root);
 
         let recorded = scope.finish();
-        let stats = DualizeStats::from_recorded(&recorded.events, passes as usize, threads);
+        let stats = DualizeStats::from_recorded(&recorded.events, chunks, threads);
         self.collector.adopt(recorded);
 
         Ok(IntersectionGraph {
@@ -480,7 +414,7 @@ impl IntersectionGraph {
     /// (if `Some`); hyperedges at or above the threshold get no G-vertex.
     ///
     /// Cost is `O(Σ_v C(deg(v), 2))` pair generation, deduplicated
-    /// shard-locally before any edge insertion; for bounded-degree
+    /// chunk-locally before any edge insertion; for bounded-degree
     /// netlists this is linear in pins. See the [module docs](self).
     ///
     /// # Panics
@@ -681,73 +615,21 @@ fn keep_map(
     Ok((kept, g_of))
 }
 
-/// One shard's output: its sorted unique pairs with run-length counts,
+/// One chunk's output: its sorted unique pairs with run-length counts,
 /// plus how many raw pairs it generated.
-struct ShardOut {
+struct Run {
     pairs: Vec<(u32, u32)>,
     counts: Vec<u32>,
     generated: u64,
 }
 
-/// Splits the module index space into `shards` contiguous ranges of
-/// roughly equal pair mass (degree bucketing): a hub module with `C(d, 2)`
-/// pairs weighs as much as thousands of leaf modules, so boundaries follow
-/// cumulative mass, not vertex count. Returns `shards + 1` boundaries.
-fn shard_boundaries(vertex_pairs: &[u64], total: u64, shards: usize) -> Vec<usize> {
-    let mut bounds = Vec::with_capacity(shards + 1);
-    bounds.push(0);
-    let target = (total / shards as u64).max(1);
-    let mut acc = 0u64;
-    for (i, &p) in vertex_pairs.iter().enumerate() {
-        acc += p;
-        if acc >= target && bounds.len() < shards {
-            bounds.push(i + 1);
-            acc = 0;
-        }
-    }
-    while bounds.len() <= shards {
-        bounds.push(vertex_pairs.len());
-    }
-    bounds
-}
-
-/// Generates, sorts, and run-length-deduplicates the pairs owned by one
-/// contiguous module range. Pure function of `(h, g_of, range)`.
-fn dualize_shard(h: &Hypergraph, g_of: &[u32], range: std::ops::Range<usize>) -> ShardOut {
-    let mut buf: Vec<(u32, u32)> = Vec::new();
-    let mut incident: Vec<u32> = Vec::new();
-    for v in range {
-        incident.clear();
-        incident.extend(h.edges_of(VertexId::new(v)).iter().filter_map(|e| {
-            let g = g_of[e.index()]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            (g != FILTERED).then_some(g)
-        }));
-        // `edges_of` is ascending and `g_of` is a monotone compaction, so
-        // `incident` is ascending and every (i, j) pair below has a < b.
-        for (i, &a) in incident.iter().enumerate() {
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            for &b in &incident[i + 1..] {
-                buf.push((a, b));
-            }
-        }
-    }
-    let generated = buf.len() as u64;
-    buf.sort_unstable();
-    let (pairs, counts) = rle_dedup(buf);
-    ShardOut {
-        pairs,
-        counts,
-        generated,
-    }
-}
-
-/// Generates, sorts, and run-length-deduplicates one streaming chunk: the
+/// Generates, sorts, and run-length-deduplicates one chunk: the
 /// global pair-index range `lo..hi` of the vertex-major, row-major pair
 /// enumeration. `prefix[v]` is the cumulative kept-pair mass before module
 /// `v`, so a chunk boundary can fall *inside* a hub module's pair block —
 /// that is exactly what keeps the raw buffer below the cap when one
 /// module alone exceeds it. Pure function of `(h, g_of, prefix, lo, hi)`.
-fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64) -> ShardOut {
+fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64) -> Run {
     let mut buf: Vec<(u32, u32)> = Vec::new();
     let mut incident: Vec<u32> = Vec::new();
     // Last v with prefix[v] <= lo (prefix is non-decreasing, prefix[0]=0).
@@ -770,7 +652,7 @@ fn dualize_chunk(h: &Hypergraph, g_of: &[u32], prefix: &[u64], lo: u64, hi: u64)
     let generated = buf.len() as u64;
     buf.sort_unstable();
     let (pairs, counts) = rle_dedup(buf);
-    ShardOut {
+    Run {
         pairs,
         counts,
         generated,
@@ -821,7 +703,7 @@ fn rle_dedup(buf: Vec<(u32, u32)>) -> (Vec<(u32, u32)>, Vec<u32>) {
 
 /// Two-pointer merge of two sorted unique runs, summing multiplicities of
 /// shared pairs. The result is the sorted multiset union of the inputs.
-fn merge_two(a: ShardOut, b: ShardOut) -> ShardOut {
+fn merge_two(a: Run, b: Run) -> Run {
     let mut pairs = Vec::with_capacity(a.pairs.len() + b.pairs.len());
     let mut counts = Vec::with_capacity(a.counts.len() + b.counts.len());
     let (mut i, mut j) = (0usize, 0usize);
@@ -850,19 +732,19 @@ fn merge_two(a: ShardOut, b: ShardOut) -> ShardOut {
     counts.extend_from_slice(&a.counts[i..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
     pairs.extend_from_slice(&b.pairs[j..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
     counts.extend_from_slice(&b.counts[j..]); // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    ShardOut {
+    Run {
         pairs,
         counts,
         generated: a.generated + b.generated,
     }
 }
 
-/// Folds the per-pass runs pairwise into one sorted unique pair list (a
-/// balanced merge tree: O(total · log passes) instead of the linear k-way
-/// scan's O(total · passes), which matters at cap=1). Multiset union is
+/// Folds the per-chunk runs pairwise into one sorted unique pair list (a
+/// balanced merge tree: O(total · log chunks) instead of a linear k-way
+/// scan's O(total · chunks), which matters at cap=1). Multiset union is
 /// associative and commutative, so the result is independent of both the
-/// chunking and the fold shape — identical to [`merge_shards`].
-fn merge_run_tree(mut runs: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
+/// chunking and the fold shape.
+fn merge_run_tree(mut runs: Vec<Run>) -> (Vec<(u32, u32)>, Vec<u32>) {
     if runs.is_empty() {
         return (Vec::new(), Vec::new());
     }
@@ -882,25 +764,25 @@ fn merge_run_tree(mut runs: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
     (s.pairs, s.counts)
 }
 
-/// Runs `work(s)` for every shard across `threads` scoped workers that
-/// claim shard indices from an atomic counter, returning outputs in shard
+/// Runs `work(c)` for every chunk across `threads` scoped workers that
+/// claim chunk indices from an atomic counter, returning outputs in chunk
 /// order regardless of completion order — the `fhp_core::runner` pattern.
-fn run_shards<T, F>(shards: usize, threads: usize, work: F) -> Vec<T>
+fn run_chunks<T, F>(chunks: usize, threads: usize, work: F) -> Vec<T>
 where
     T: Send,
     F: Fn(usize) -> T + Sync,
 {
-    let workers = threads.clamp(1, shards.max(1));
+    let workers = threads.clamp(1, chunks.max(1));
     if workers == 1 {
-        return (0..shards).map(work).collect();
+        return (0..chunks).map(work).collect();
     }
     let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..shards).map(|_| None).collect());
+    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..chunks).map(|_| None).collect());
     std::thread::scope(|scope| {
         for _ in 0..workers {
             scope.spawn(|| loop {
                 let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches the merged output
-                if index >= shards {
+                if index >= chunks {
                     break;
                 }
                 let out = work(index);
@@ -919,49 +801,9 @@ where
         .into_inner()
         .unwrap_or_else(std::sync::PoisonError::into_inner)
         .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..shards exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every shard was claimed exactly once"))
+        // fhp-audit: allow(panic-site) — the claim loop covers 0..chunks exactly once; a hole is an engine bug worth a loud stop
+        .map(|slot| slot.expect("every chunk was claimed exactly once"))
         .collect()
-}
-
-/// K-way-merges the sorted shard runs into one sorted unique pair list,
-/// summing the multiplicities of pairs that appear in several shards. The
-/// result is the sorted multiset union of the runs — independent of how
-/// the pairs were sharded.
-fn merge_shards(mut shard_out: Vec<ShardOut>) -> (Vec<(u32, u32)>, Vec<u32>) {
-    if shard_out.len() == 1 {
-        if let Some(s) = shard_out.pop() {
-            return (s.pairs, s.counts);
-        }
-    }
-    let upper: usize = shard_out.iter().map(|s| s.pairs.len()).sum();
-    let mut pairs = Vec::with_capacity(upper);
-    let mut counts = Vec::with_capacity(upper);
-    let mut cursor = vec![0usize; shard_out.len()];
-    loop {
-        let mut min: Option<(u32, u32)> = None;
-        for (s, out) in shard_out.iter().enumerate() {
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            if let Some(&p) = out.pairs.get(cursor[s]) {
-                if min.is_none_or(|m| p < m) {
-                    min = Some(p);
-                }
-            }
-        }
-        let Some(m) = min else { break };
-        let mut total = 0u32;
-        for (s, out) in shard_out.iter().enumerate() {
-            // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            if out.pairs.get(cursor[s]) == Some(&m) {
-                // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                total += out.counts[cursor[s]]; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-                cursor[s] += 1; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            }
-        }
-        pairs.push(m);
-        counts.push(total);
-    }
-    (pairs, counts)
 }
 
 /// Writes the CSR adjacency (and the aligned multiplicity array) straight
@@ -1167,28 +1009,6 @@ mod tests {
     }
 
     #[test]
-    fn shard_boundaries_cover_and_bucket() {
-        // one hub vertex with huge mass: it lands alone-ish in a shard
-        let pairs = [0, 0, 1000, 1, 1, 1, 1, 1];
-        let total: u64 = pairs.iter().sum();
-        let bounds = shard_boundaries(&pairs, total, 4);
-        assert_eq!(bounds.len(), 5);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), pairs.len());
-        assert!(bounds.windows(2).all(|w| w[0] <= w[1]));
-        // the hub's bucket closes right after it
-        assert!(bounds.contains(&3));
-    }
-
-    #[test]
-    fn empty_mass_still_yields_valid_boundaries() {
-        let bounds = shard_boundaries(&[0, 0, 0], 0, 4);
-        assert_eq!(bounds.len(), 5);
-        assert_eq!(bounds[0], 0);
-        assert_eq!(*bounds.last().unwrap(), 3);
-    }
-
-    #[test]
     fn threshold_filters_large_edges() {
         let h = paper_example(); // max edge size 4
         let ig = IntersectionGraph::build_with_threshold(&h, Some(4));
@@ -1256,10 +1076,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_matches_kernel_on_paper_example() {
+    fn capped_builds_match_the_naive_oracle_on_paper_example() {
         let h = paper_example();
         for threshold in [None, Some(3), Some(4), Some(10)] {
-            let oracle = Dualizer::new().threshold(threshold).build(&h).unwrap();
+            let oracle = IntersectionGraph::build_naive_with_threshold(&h, threshold);
             let total = oracle.stats().pairs_generated;
             for cap in [None, Some(1), Some(2), Some(7), Some(10_000)] {
                 for threads in [1, 2, 8] {
@@ -1267,7 +1087,7 @@ mod tests {
                         .threshold(threshold)
                         .threads(threads)
                         .pair_cap(cap)
-                        .build_streaming(&h)
+                        .build(&h)
                         .unwrap();
                     assert_eq!(st.graph(), oracle.graph(), "cap {cap:?} threads {threads}");
                     assert_eq!(st.shared, oracle.shared, "cap {cap:?} threads {threads}");
@@ -1281,7 +1101,11 @@ mod tests {
                         _ => 1,
                     };
                     assert_eq!(s.passes, expect_passes, "cap {cap:?}");
-                    assert_eq!(s.shards as u64, expect_passes);
+                    let expect_chunks = match cap {
+                        None if threads > 1 => (2 * threads) as u64,
+                        _ => expect_passes,
+                    };
+                    assert_eq!(s.shards as u64, expect_chunks);
                     let effective = cap.map_or(total.max(1), |c| c as u64);
                     assert!(s.peak_pair_buffer <= effective, "cap {cap:?}");
                     assert_eq!(s.bytes_spilled % 12, 0);
@@ -1291,23 +1115,23 @@ mod tests {
     }
 
     #[test]
-    fn streaming_cap_splits_inside_a_hub_module() {
+    fn cap_splits_inside_a_hub_module() {
         // one module shared by 64 signals: C(64, 2) = 2016 pairs in a
         // single vertex's block, far above the cap — the chunk planner
-        // must split mid-vertex and still reproduce the kernel exactly.
+        // must split mid-vertex and still reproduce the oracle exactly.
         let mut b = HypergraphBuilder::with_vertices(1 + 64);
         for s in 0..64 {
             b.add_edge([VertexId::new(0), VertexId::new(1 + s)])
                 .unwrap();
         }
         let h = b.build();
-        let oracle = Dualizer::new().build(&h).unwrap();
+        let oracle = IntersectionGraph::build_naive_with_threshold(&h, None);
         assert_eq!(oracle.stats().pairs_generated, 2016);
         for cap in [1usize, 5, 100, 2015, 2016, 4096] {
             let st = Dualizer::new()
                 .pair_cap(Some(cap))
                 .threads(2)
-                .build_streaming(&h)
+                .build(&h)
                 .unwrap();
             assert_eq!(st.graph(), oracle.graph(), "cap {cap}");
             assert_eq!(st.shared, oracle.shared, "cap {cap}");
@@ -1318,15 +1142,18 @@ mod tests {
     }
 
     #[test]
-    fn streaming_stats_on_in_memory_builds() {
-        // the in-memory kernel and the naive builder report the trivial
-        // streaming counters: one pass, peak = whole stream, no spill
+    fn uncapped_and_naive_builds_report_one_pass_and_no_spill() {
+        // an uncapped build is one pass over the whole stream at every
+        // thread count, however many chunks carried it, and the naive
+        // builder reports the same trivial pass counters
         let h = paper_example();
-        for ig in [
-            Dualizer::new().build(&h).unwrap(),
-            IntersectionGraph::build_naive_with_threshold(&h, None),
-        ] {
+        let mut builds = vec![(IntersectionGraph::build_naive_with_threshold(&h, None), 1)];
+        for (threads, chunks) in [(1, 1), (2, 4), (8, 16), (40, 32)] {
+            builds.push((Dualizer::new().threads(threads).build(&h).unwrap(), chunks));
+        }
+        for (ig, chunks) in builds {
             let s = ig.stats();
+            assert_eq!(s.shards, chunks);
             assert_eq!(s.passes, 1);
             assert_eq!(s.peak_pair_buffer, s.pairs_generated);
             assert_eq!(s.bytes_spilled, 0);
@@ -1334,10 +1161,10 @@ mod tests {
     }
 
     #[test]
-    fn streaming_on_empty_instance() {
+    fn capped_build_on_empty_instance() {
         let h = HypergraphBuilder::with_vertices(3).build();
         for cap in [None, Some(1)] {
-            let st = Dualizer::new().pair_cap(cap).build_streaming(&h).unwrap();
+            let st = Dualizer::new().pair_cap(cap).build(&h).unwrap();
             assert_eq!(st.num_g_vertices(), 0);
             let s = st.stats();
             assert_eq!(s.pairs_generated, 0);

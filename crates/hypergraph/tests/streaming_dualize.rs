@@ -1,12 +1,14 @@
-//! Property battery for the streaming dualizer: the pair-buffer cap is a
-//! *memory* knob, never a *semantics* knob. For every instance and every
-//! cap — including the degenerate cap=1, the off-by-one cap=pairs−1, and
-//! caps at or above the whole pair stream — `Dualizer::build_streaming`
-//! must reproduce the in-memory kernel's graph, mapping and
+//! Property battery for the dualizer's pair cap: the cap is a *memory*
+//! knob, never a *semantics* knob. For every instance and every cap —
+//! including the degenerate cap=1, the off-by-one cap=pairs−1, caps at or
+//! above the whole pair stream, and no cap at all — `Dualizer::build` must
+//! reproduce the naive pair-spray builder's graph, mapping and
 //! multiplicities byte for byte; only `DualizeStats::passes`,
-//! `peak_pair_buffer` and `bytes_spilled` may differ. An adversarial
-//! degree-1024 hub (half a million pairs inside one module's block)
-//! pins the cap guarantee where chunks must split mid-vertex.
+//! `peak_pair_buffer` and `bytes_spilled` follow the cap. Capped and
+//! uncapped builds share one code path, so the independent naive builder
+//! is the oracle. An adversarial degree-1024 hub (half a million pairs
+//! inside one module's block) pins the cap guarantee where chunks must
+//! split mid-vertex.
 
 use fhp_hypergraph::intersection::{Dualizer, IntersectionGraph};
 use fhp_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
@@ -25,9 +27,9 @@ fn build_hypergraph(nv: usize, raw_edges: &[Vec<usize>]) -> Hypergraph {
     b.build()
 }
 
-/// Asserts streaming ≡ in-memory kernel on `h` at `cap`, and returns the
-/// streaming stats for cap-specific follow-up assertions.
-fn assert_streaming_matches(
+/// Asserts the kernel at `cap` ≡ the naive oracle on `h`, and returns the
+/// kernel's stats for cap-specific follow-up assertions.
+fn assert_matches_oracle(
     h: &Hypergraph,
     oracle: &IntersectionGraph,
     cap: Option<usize>,
@@ -37,8 +39,8 @@ fn assert_streaming_matches(
         .threshold(oracle.threshold())
         .threads(threads)
         .pair_cap(cap)
-        .build_streaming(h)
-        .expect("streaming build succeeds where the kernel did");
+        .build(h)
+        .expect("kernel build succeeds where the naive builder did");
     assert_eq!(st.graph(), oracle.graph(), "cap {cap:?} threads {threads}");
     assert_eq!(st.num_g_vertices(), oracle.num_g_vertices());
     for g in st.graph().vertices() {
@@ -71,7 +73,7 @@ proptest! {
         threads in proptest::sample::select([1usize, 2, 8]),
     ) {
         let h = build_hypergraph(nv, &raw_edges);
-        let oracle = Dualizer::new().threshold(threshold).build(&h).unwrap();
+        let oracle = IntersectionGraph::build_naive_with_threshold(&h, threshold);
         let total = oracle.stats().pairs_generated;
 
         // the issue's boundary caps, plus an arbitrary one
@@ -83,7 +85,7 @@ proptest! {
         caps.push(Some(total as usize + 10));
 
         for cap in caps {
-            let s = assert_streaming_matches(&h, &oracle, cap, threads);
+            let s = assert_matches_oracle(&h, &oracle, cap, threads);
             prop_assert_eq!(s.pairs_generated, total);
             prop_assert_eq!(s.pairs_generated, s.unique_edges + s.duplicates_merged);
             let expect_passes = match cap {
@@ -103,7 +105,7 @@ proptest! {
     /// Caps are also invariant under the thread count: the chunk plan is
     /// a pure function of (instance, threshold, cap), so stats agree too.
     #[test]
-    fn streaming_stats_are_thread_invariant(
+    fn capped_stats_are_thread_invariant(
         nv in 2usize..12,
         raw_edges in proptest::collection::vec(
             proptest::collection::vec(0usize..12, 2..5),
@@ -112,12 +114,12 @@ proptest! {
         cap in 1usize..32,
     ) {
         let h = build_hypergraph(nv, &raw_edges);
-        let one = Dualizer::new().pair_cap(Some(cap)).threads(1).build_streaming(&h).unwrap();
+        let one = Dualizer::new().pair_cap(Some(cap)).threads(1).build(&h).unwrap();
         for threads in [2usize, 8] {
             let many = Dualizer::new()
                 .pair_cap(Some(cap))
                 .threads(threads)
-                .build_streaming(&h)
+                .build(&h)
                 .unwrap();
             prop_assert_eq!(many.graph(), one.graph());
             let (a, b) = (many.stats(), one.stats());
@@ -142,16 +144,19 @@ fn degree_1024_hub_respects_the_cap() {
             .unwrap();
     }
     let h = b.build();
-    let oracle = Dualizer::new().build(&h).unwrap();
+    let oracle = IntersectionGraph::build_naive_with_threshold(&h, None);
     let total = (signals * (signals - 1) / 2) as u64;
     assert_eq!(oracle.stats().pairs_generated, total);
     assert_eq!(oracle.stats().peak_pair_buffer, total);
+    let uncapped = Dualizer::new().threads(8).build(&h).expect("hub builds");
+    assert_eq!(uncapped.graph(), oracle.graph());
+    assert_eq!(uncapped.stats().peak_pair_buffer, total);
 
     for cap in [64usize, 4095, 65_536, total as usize - 1, total as usize] {
         let st = Dualizer::new()
             .pair_cap(Some(cap))
             .threads(8)
-            .build_streaming(&h)
+            .build(&h)
             .expect("hub builds");
         assert_eq!(st.graph(), oracle.graph(), "cap {cap}");
         let s = st.stats();
@@ -161,6 +166,35 @@ fn degree_1024_hub_respects_the_cap() {
             s.peak_pair_buffer
         );
         assert_eq!(s.passes, total.div_ceil(cap as u64), "cap {cap}");
+        assert_eq!(s.pairs_generated, total);
+    }
+}
+
+/// An uncapped build is one pass over the whole stream at every thread
+/// count, however many chunks carried it: passes 1, peak = pairs, and
+/// nothing spilled.
+#[test]
+fn uncapped_builds_report_one_pass_at_every_thread_count() {
+    let h = build_hypergraph(
+        12,
+        &[
+            vec![0, 1, 2],
+            vec![1, 2, 3, 4],
+            vec![2, 5],
+            vec![4, 5, 6, 7],
+            vec![0, 7, 8],
+            vec![8, 9, 10, 11],
+            vec![2, 9, 11],
+        ],
+    );
+    let oracle = IntersectionGraph::build_naive_with_threshold(&h, None);
+    let total = oracle.stats().pairs_generated;
+    assert!(total > 0);
+    for threads in [1usize, 2, 8] {
+        let s = assert_matches_oracle(&h, &oracle, None, threads);
+        assert_eq!(s.passes, 1, "threads {threads}");
+        assert_eq!(s.peak_pair_buffer, total, "threads {threads}");
+        assert_eq!(s.bytes_spilled, 0, "threads {threads}");
         assert_eq!(s.pairs_generated, total);
     }
 }

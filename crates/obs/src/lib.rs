@@ -7,7 +7,7 @@
 //!
 //! - [`Scope`] + [`Collector`] — lock-free per-unit-of-work recording
 //!   with a deterministic merge (scopes sort by caller-assigned
-//!   [`order`] keys, mirroring `runner::run_starts`' index-ordered
+//!   [`order`] keys, mirroring `runner::run_starts_arena`'s index-ordered
 //!   reduction), so the merged event sequence is identical across
 //!   `--threads 1/2/8`.
 //! - [`Span`](Scope::span) RAII guards with monotonic timing,
@@ -112,18 +112,17 @@ pub mod names {
     pub const DUALIZE_KEPT: &str = "dualize.kept_edges";
     /// Counter: edges dropped by the weight threshold.
     pub const DUALIZE_FILTERED: &str = "dualize.filtered_edges";
-    /// Counter: generate→sort→dedup passes the dualizer ran (1 for the
-    /// in-memory kernel; `ceil(pairs / cap)` for the streaming kernel).
+    /// Counter: generate→sort→dedup passes the dualizer ran (1 when
+    /// uncapped; `ceil(pairs / cap)` under a pair cap).
     pub const DUALIZE_PASSES: &str = "dualize.passes";
-    /// Counter: largest raw pair buffer the dualizer held at any moment.
-    /// For the in-memory kernel this is the whole pair stream; for the
-    /// streaming kernel it never exceeds the configured pair cap. A pure
-    /// function of `(instance, threshold, cap)`, never of the thread
-    /// count.
+    /// Counter: largest raw pair buffer one dualizer pass holds:
+    /// `min(cap, pairs)` under a pair cap, the whole pair stream when
+    /// uncapped. A pure function of `(instance, threshold, cap)`, never
+    /// of the thread count.
     pub const DUALIZE_PEAK_PAIR_BUFFER: &str = "dualize.peak_pair_buffer";
-    /// Counter: bytes of deduplicated per-pass runs the streaming kernel
-    /// retired out of the bounded pair buffer (its "spill" volume; 0 for
-    /// the in-memory kernel). Deterministic: 12 bytes per unique
+    /// Counter: bytes of deduplicated per-pass runs a capped dualizer
+    /// retired out of the bounded pair buffer (its "spill" volume; 0 when
+    /// uncapped). Deterministic: 12 bytes per unique
     /// (pair, multiplicity) entry across all passes.
     pub const DUALIZE_BYTES_SPILLED: &str = "dualize.bytes_spilled";
     /// Root span of one multi-start attempt (child spans nest under it).

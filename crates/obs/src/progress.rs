@@ -34,13 +34,13 @@ use crate::{order, writer};
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 #[repr(usize)]
 pub enum Gauge {
-    /// Dualize passes completed (in-memory kernel: 1 per build;
-    /// streaming kernel: one per retired chunk).
+    /// Dualize passes completed (one per retired pass; an uncapped build
+    /// is one pass however many chunks carried it).
     DualizePassesDone,
-    /// Dualize passes planned across all `Dualizer::build*` calls.
+    /// Dualize passes planned across all `Dualizer::build` calls.
     DualizePassesTotal,
     /// Candidate intersection pairs generated ("retired" through the
-    /// bounded buffer for the streaming kernel).
+    /// bounded buffer under a pair cap).
     DualizePairsRetired,
     /// Multi-start attempts fully evaluated.
     StartsDone,

@@ -17,13 +17,13 @@
 
 use std::collections::BTreeMap;
 
-use fhp_baselines::moves::{random_balanced_start, MoveState};
 use fhp_baselines::{
     exhaustive_min_losers, Exhaustive, FiducciaMattheyses, KernighanLin, SimulatedAnnealing,
 };
 use fhp_core::boundary::BoundaryDecomposition;
 use fhp_core::complete_cut::{complete, complete_min_degree};
 use fhp_core::dual_bfs::{random_longest_path_endpoints, two_front_bfs};
+use fhp_core::moves::{random_balanced_start, MoveState};
 use fhp_core::multilevel::{coarsen_cap, coarsen_sequence};
 use fhp_core::multiway::recursive_bisection;
 use fhp_core::{
@@ -100,7 +100,7 @@ pub fn check_instance(
         ("pipeline_stages", oracle_pipeline_stages),
         ("thread_invariance", oracle_thread_invariance),
         ("dualize_kernel", oracle_dualize_kernel),
-        ("streaming_dualize", oracle_streaming_dualize),
+        ("pair_cap_dualize", oracle_pair_cap_dualize),
         ("move_state", oracle_move_state),
         ("multiway", oracle_multiway),
         ("multilevel", oracle_multilevel),
@@ -632,53 +632,42 @@ fn oracle_dualize_kernel(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     Ok(checks)
 }
 
-/// Pair-cap values the streaming oracle sweeps: the degenerate cap=1,
+/// Pair-cap values the pair-cap oracle sweeps: the degenerate cap=1,
 /// a mid-sized cap, and uncapped (single pass).
-pub const STREAMING_CAPS: [Option<usize>; 3] = [Some(1), Some(16), None];
+pub const PAIR_CAPS: [Option<usize>; 3] = [Some(1), Some(16), None];
 
-/// The streaming dualizer against both the in-memory kernel and the
-/// naive pair-spray builder: for every threshold, cap and thread count
-/// the three builds must agree on the CSR, the mapping and the
-/// multiplicities, the stats must balance
-/// (`pairs_generated = unique_edges + duplicates_merged`), the raw pair
-/// buffer must respect the cap, and the pass count must follow
-/// `ceil(pairs / cap)` exactly.
-fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
+/// The dualizer under a pair cap against the naive pair-spray builder:
+/// for every threshold, cap and thread count the two builds must agree
+/// on the CSR, the mapping and the multiplicities, the stats must balance
+/// (`pairs_generated = unique_edges + duplicates_merged`), and the pass
+/// counters must follow the cap exactly — `ceil(pairs / cap)` passes, a
+/// peak pair buffer of `min(cap, pairs)`, and no spill when uncapped.
+fn oracle_pair_cap_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
     let h = ctx.h;
     let mut checks = 0;
     for threshold in [None, Some(3)] {
         let naive = IntersectionGraph::build_naive_with_threshold(h, threshold);
-        let kernel = fhp_hypergraph::Dualizer::new()
-            .threshold(threshold)
-            .build(h)
-            .map_err(|e| ctx.fail(format!("in-memory dualizer failed: {e}")))?;
-        let total = kernel.stats().pairs_generated;
-        for cap in STREAMING_CAPS {
+        let total = naive.stats().pairs_generated;
+        for cap in PAIR_CAPS {
             for threads in INVARIANCE_THREADS {
                 let st = fhp_hypergraph::Dualizer::new()
                     .threshold(threshold)
                     .threads(threads)
                     .pair_cap(cap)
-                    .build_streaming(h)
-                    .map_err(|e| ctx.fail(format!("streaming dualizer failed: {e}")))?;
+                    .build(h)
+                    .map_err(|e| ctx.fail(format!("dualizer failed: {e}")))?;
                 let tag = || format!("(threshold {threshold:?}, cap {cap:?}, {threads} threads)");
-                checks += ctx.ensure(st.graph() == kernel.graph(), || {
-                    format!(
-                        "streaming graph {} differs from the in-memory kernel",
-                        tag()
-                    )
-                })?;
                 checks += ctx.ensure(st.graph() == naive.graph(), || {
-                    format!("streaming graph {} differs from the naive builder", tag())
+                    format!("graph {} differs from the naive builder", tag())
                 })?;
                 for gv in st.graph().vertices() {
                     checks += ctx.ensure(
-                        st.multiplicities_of(gv) == kernel.multiplicities_of(gv),
+                        st.multiplicities_of(gv) == naive.multiplicities_of(gv),
                         || format!("multiplicities of G-vertex {gv} differ {}", tag()),
                     )?;
                 }
                 for e in h.edges() {
-                    checks += ctx.ensure(st.g_vertex_of(e) == kernel.g_vertex_of(e), || {
+                    checks += ctx.ensure(st.g_vertex_of(e) == naive.g_vertex_of(e), || {
                         format!("kept/filtered mapping of {e} differs {}", tag())
                     })?;
                 }
@@ -689,16 +678,16 @@ fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
                 )?;
                 checks += ctx.ensure(s.pairs_generated == total, || {
                     format!(
-                        "streaming generated {} pairs, the kernel {} {}",
+                        "kernel generated {} pairs, the naive builder {} {}",
                         s.pairs_generated,
                         total,
                         tag()
                     )
                 })?;
                 let effective = cap.map_or(total.max(1), |c| c.max(1) as u64);
-                checks += ctx.ensure(s.peak_pair_buffer <= effective, || {
+                checks += ctx.ensure(s.peak_pair_buffer == total.min(effective), || {
                     format!(
-                        "peak pair buffer {} exceeds the cap {}",
+                        "peak pair buffer {} is not min(cap, pairs) {}",
                         s.peak_pair_buffer,
                         tag()
                     )
@@ -710,6 +699,9 @@ fn oracle_streaming_dualize(ctx: &Ctx<'_>) -> Result<u64, Violation> {
                 };
                 checks += ctx.ensure(s.passes == expect_passes, || {
                     format!("{} passes, expected {expect_passes} {}", s.passes, tag())
+                })?;
+                checks += ctx.ensure(cap.is_some() || s.bytes_spilled == 0, || {
+                    format!("uncapped build spilled {} bytes {}", s.bytes_spilled, tag())
                 })?;
             }
         }
@@ -1463,7 +1455,7 @@ mod tests {
             "pipeline_stages",
             "thread_invariance",
             "dualize_kernel",
-            "streaming_dualize",
+            "pair_cap_dualize",
             "move_state",
             "multiway",
             "multilevel",

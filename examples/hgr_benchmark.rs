@@ -11,10 +11,9 @@
 //! Pass a path to run on your own benchmark: `… --example hgr_benchmark -- ibm01.hgr`.
 
 use fhp::baselines::{
-    FiducciaMattheyses, KernighanLin, Multilevel, RandomCut, Refined, SimulatedAnnealing,
-    SpectralBisection,
+    FiducciaMattheyses, KernighanLin, RandomCut, Refined, SimulatedAnnealing, SpectralBisection,
 };
-use fhp::core::{metrics, Algorithm1, Bipartitioner, PartitionConfig};
+use fhp::core::{metrics, Algorithm1, Bipartitioner, Multilevel, PartitionConfig};
 use fhp::gen::{CircuitNetlist, Technology};
 use fhp::hypergraph::hgr;
 

@@ -5,10 +5,10 @@
 //! algorithm × workload matrix.
 
 use fhp::baselines::{
-    Exhaustive, FiducciaMattheyses, KernighanLin, Multilevel, RandomCut, Refined,
-    SimulatedAnnealing, SpectralBisection,
+    Exhaustive, FiducciaMattheyses, KernighanLin, RandomCut, Refined, SimulatedAnnealing,
+    SpectralBisection,
 };
-use fhp::core::{metrics, Algorithm1, Bipartitioner, PartitionConfig, PartitionError};
+use fhp::core::{metrics, Algorithm1, Bipartitioner, Multilevel, PartitionConfig, PartitionError};
 use fhp::gen::{
     CircuitNetlist, DisconnectedClusters, PlantedBisection, RandomHypergraph, Technology,
 };
