@@ -1,7 +1,7 @@
 //! The long-lived partition engine: a netlist held warm under edits.
 //!
-//! [`PartitionEngine`] owns a [`DynamicNetlist`] (which keeps the dual
-//! intersection graph current incrementally — see
+//! [`PartitionEngine`] owns a [`DynamicNetlist`] (pin lists plus a
+//! module → net incidence, patched per edit — see
 //! [`fhp_hypergraph::incremental`]) plus the current side assignment and
 //! weighted cut, and exposes [`apply`](PartitionEngine::apply) over a
 //! typed [`Edit`] set. Each edit is repaired at the cheapest tier that
@@ -12,8 +12,11 @@
 //! - **Incremental** — the damaged region (pins of the touched net, the
 //!   touched module) is small relative to the instance: the cut is
 //!   maintained by delta and a single localized FM pass over the damaged
-//!   modules repairs it — cost proportional to the damaged region's
-//!   incidence, never to the instance, and no Algorithm I re-run.
+//!   modules repairs it, with no Algorithm I re-run. The structural edit
+//!   and the gain evaluations scale with the damaged region's incidence,
+//!   but each edit still pays two O(instance) scans: the side-weight
+//!   scan that sets the balance slack, and the state
+//!   [`fingerprint`](PartitionEngine::fingerprint).
 //! - **Full** — the damage fraction exceeds
 //!   [`EngineConfig::damage_permille`]: the live netlist is
 //!   re-partitioned from scratch with [`Algorithm1`]. Fallbacks are
@@ -277,13 +280,11 @@ impl PartitionEngine {
     ///
     /// # Errors
     ///
-    /// [`EngineError::Structure`] if the netlist cannot be dualized,
     /// [`EngineError::Partition`] if the initial partition fails for a
     /// non-benign reason (too-few-vertices degenerates to the trivial
     /// partition instead).
     pub fn load(&mut self, h: &Hypergraph) -> Result<Delta, EngineError> {
-        let nl = DynamicNetlist::from_hypergraph(h)
-            .map_err(|error| EngineError::Partition(PartitionError::GraphBuild { error }))?;
+        let Ok(nl) = DynamicNetlist::from_hypergraph(h);
         let mut sides = vec![Side::Left; h.num_vertices()];
         let mut cut = 0;
         if h.num_vertices() >= 2 && h.num_edges() > 0 {
@@ -499,20 +500,27 @@ impl PartitionEngine {
         }
     }
 
+    /// The live weight on each side (indexed by [`Side::index`]) and the
+    /// heaviest live module, from one scan of the live modules.
+    fn side_weights(&self) -> ([u64; 2], u64) {
+        let mut weights = [0u64; 2];
+        let mut heaviest = 0u64;
+        let Some(nl) = self.nl.as_ref() else {
+            return (weights, heaviest);
+        };
+        for m in nl.live_modules() {
+            let w = nl.module_weight(m).unwrap_or(0);
+            weights[self.side_at(m).index()] += w; // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
+            heaviest = heaviest.max(w);
+        }
+        (weights, heaviest)
+    }
+
     /// The side with the smaller live weight (ties go Left) — the
     /// deterministic placement of freshly added modules.
     fn lighter_side(&self) -> Side {
-        let Some(nl) = self.nl.as_ref() else {
-            return Side::Left;
-        };
-        let mut weights = [0u64; 2];
-        for m in nl.live_modules() {
-            let w = nl.module_weight(m).unwrap_or(0);
-            let side = self.sides.get(m as usize).copied().unwrap_or(Side::Left);
-            weights[side.index()] += w; // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-        }
-        // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-        if weights[Side::Right.index()] < weights[Side::Left.index()] {
+        let ([left, right], _) = self.side_weights();
+        if right < left {
             Side::Right
         } else {
             Side::Left
@@ -525,8 +533,8 @@ impl PartitionEngine {
     /// modules whose move strictly lowers the cut, under the same
     /// adaptive balance slack [`FmRefiner`](crate::refine::FmRefiner)
     /// uses (twice the heaviest live module), each module at most once.
-    /// Cost is proportional to the damaged region's incidence, never to
-    /// the instance.
+    /// Besides one O(live modules) side-weight scan, the cost is the
+    /// damaged modules' incidence times the number of moves.
     fn repair_incremental(&mut self, touched: &[u32]) {
         let Some(nl) = self.nl.as_ref() else { return };
         let mut candidates: Vec<u32> = touched
@@ -539,15 +547,8 @@ impl PartitionEngine {
         if candidates.is_empty() {
             return;
         }
-        // Side weights and the heaviest module, one scan — the balance
-        // slack mirrors FmRefiner's adaptive floor.
-        let mut side_weight = [0u64; 2];
-        let mut heaviest = 0u64;
-        for m in nl.live_modules() {
-            let w = nl.module_weight(m).unwrap_or(0);
-            side_weight[self.side_at(m).index()] += w; // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-            heaviest = heaviest.max(w);
-        }
+        // The balance slack mirrors FmRefiner's adaptive floor.
+        let (mut side_weight, heaviest) = self.side_weights();
         let imbalance = side_weight[0].abs_diff(side_weight[1]); // fhp-audit: allow(panic-site) — literal indices into the fixed [u64; 2]
         let tolerance = imbalance.max(heaviest.saturating_mul(2));
         let mut moved = vec![false; candidates.len()];
@@ -681,9 +682,11 @@ impl PartitionEngine {
     }
 
     /// The state fingerprint: an order-independent mix over every live
-    /// module (id, weight, side), every live net (id, weight, pins), the
-    /// dual adjacency, and the current cut. Equal fingerprints after the
-    /// same edit sequence at different thread counts is the
+    /// module (id, weight, side), every live net (id, weight, pins), and
+    /// the current cut. The pin lists determine every derived structure
+    /// (the incidence, and the dual graph `G` a recompute builds), so
+    /// the fingerprint covers all observable state. Equal fingerprints
+    /// after the same edit sequence at different thread counts is the
     /// determinism-under-edits contract.
     pub fn fingerprint(&self) -> u64 {
         let Some(nl) = self.nl.as_ref() else {
@@ -706,7 +709,6 @@ impl PartitionEngine {
                 }
             }
         }
-        acc = mix64(acc ^ nl.dual_fingerprint());
         mix64(acc ^ self.cut)
     }
 }
@@ -826,6 +828,31 @@ mod tests {
         assert_eq!(d.repair, RepairKind::Trivial);
         assert_eq!(engine.cut(), 0);
         assert_eq!(d.fingerprint, engine.fingerprint());
+    }
+
+    #[test]
+    fn fingerprint_hashes_pin_lists() {
+        // Module 3 joins net d = {4, 5} on its own side: the cut and every
+        // side stay put, so only the pin list can move the fingerprint.
+        let mut engine = PartitionEngine::new(EngineConfig::new().damage_permille(1000));
+        let h = fhp_hypergraph::Netlist::parse("a: 1 2 3\nb: 1 2\nc: 4 5 6\nd: 5 6\ne: 3 4\n")
+            .expect("parses")
+            .hypergraph()
+            .clone();
+        let fp = engine.load(&h).expect("loads").fingerprint;
+        let sides = |e: &PartitionEngine| (0..6).map(|m| e.side_of(m)).collect::<Vec<_>>();
+        let before = sides(&engine);
+        let d = engine
+            .apply(&Edit::PinChange {
+                net: 3,
+                module: 3,
+                add: true,
+            })
+            .expect("valid edit");
+        assert_eq!(d.repair, RepairKind::Incremental);
+        assert_eq!(d.cut_after, d.cut_before, "the cut must not move");
+        assert_eq!(sides(&engine), before, "no side may move");
+        assert_ne!(d.fingerprint, fp, "the pin list changed");
     }
 
     #[test]

@@ -30,7 +30,7 @@ use fhp_core::{
     Algorithm1, Bipartition, Bipartitioner, CompletionStrategy, Edit, EngineConfig, EngineError,
     MultilevelConfig, PartitionConfig, PartitionEngine, PartitionError, PartitionOutcome, Side,
 };
-use fhp_hypergraph::{bfs, hgr, DynamicNetlist, EdgeId, Graph, Hypergraph, IntersectionGraph};
+use fhp_hypergraph::{bfs, hgr, DynamicNetlist, Graph, Hypergraph, IntersectionGraph};
 use rand::rngs::SplitMix64;
 use rand::{Rng, SeedableRng};
 
@@ -1070,10 +1070,10 @@ const INCREMENTAL_SHRINK_EVALS: usize = 64;
 /// The incremental-vs-scratch differential: seeded edit scripts are
 /// replayed through [`PartitionEngine`]s at two thread counts, and after
 /// **every** edit the engine's view is diffed against a from-scratch
-/// rebuild — the dual rows against a fresh [`IntersectionGraph`] of the
-/// materialized netlist, the maintained cut against a pin-by-pin recount,
-/// the fingerprints across thread counts, and rejected edits against
-/// identical rejections. On divergence the script itself is greedily
+/// recount — the module → net incidence against the pin lists, the
+/// maintained cut against a pin-by-pin recount on the materialized
+/// netlist, the fingerprints across thread counts, and rejected edits
+/// against identical rejections. On divergence the script itself is greedily
 /// minimized (drop-one-edit passes under a replay budget) and embedded in
 /// the violation, so reproductions carry both the shrunk instance and the
 /// shrunk edit history.
@@ -1084,8 +1084,7 @@ fn oracle_incremental(ctx: &Ctx<'_>) -> Result<u64, Violation> {
         let mut rng = SplitMix64::seed_from_u64(
             ctx.seed ^ 0x696e_6372u64 ^ (script_index as u64).wrapping_mul(0x9e37_79b9_7f4a_7c15),
         );
-        let script = generate_edit_script(h, INCREMENTAL_SCRIPT_LEN, &mut rng)
-            .map_err(|e| ctx.fail(format!("edit-script generation failed: {e}")))?;
+        let script = generate_edit_script(h, INCREMENTAL_SCRIPT_LEN, &mut rng);
         match replay_edit_script(h, ctx.seed, &script) {
             Ok(c) => checks += c,
             Err(detail) => {
@@ -1132,12 +1131,8 @@ fn apply_to_replica(nl: &mut DynamicNetlist, edit: &Edit) -> Result<(), String> 
 /// Generates a seeded, mostly-valid edit script against a replica of the
 /// instance. Roughly one edit in eight is an intentionally invalid
 /// request (a dead net id), pinning that both engines reject identically.
-fn generate_edit_script(
-    h: &Hypergraph,
-    len: usize,
-    rng: &mut SplitMix64,
-) -> Result<Vec<Edit>, String> {
-    let mut replica = DynamicNetlist::from_hypergraph(h).map_err(|e| e.to_string())?;
+fn generate_edit_script(h: &Hypergraph, len: usize, rng: &mut SplitMix64) -> Vec<Edit> {
+    let Ok(mut replica) = DynamicNetlist::from_hypergraph(h);
     let mut script = Vec::with_capacity(len);
     let mut guard = 0;
     while script.len() < len && guard < len * 24 {
@@ -1226,43 +1221,7 @@ fn generate_edit_script(
         }
         script.push(edit);
     }
-    Ok(script)
-}
-
-/// Diffs the engine's maintained state against a from-scratch rebuild of
-/// the dual: every live net's neighbor row must match a fresh
-/// [`IntersectionGraph`] built on the materialized hypergraph.
-fn dual_matches_scratch(
-    nl: &DynamicNetlist,
-    mat: &Hypergraph,
-    net_ids: &[u32],
-) -> Result<u64, String> {
-    let ig = IntersectionGraph::build(mat);
-    let mut checks = 0;
-    for (ci, &stable) in net_ids.iter().enumerate() {
-        let Some(gv) = ig.g_vertex_of(EdgeId::new(ci)) else {
-            return Err(format!("scratch dual dropped live net {stable}"));
-        };
-        let mut expected: Vec<(u32, u32)> = ig
-            .graph()
-            .neighbors(gv)
-            .iter()
-            .zip(ig.multiplicities_of(gv))
-            // fhp-audit: allow(panic-site) — g-vertices map to in-range compact net ids by construction
-            .map(|(&ng, &m)| (net_ids[ig.edge_of(ng).index()], m))
-            .collect();
-        expected.sort_unstable();
-        let got = nl
-            .dual_neighbors(stable)
-            .ok_or_else(|| format!("engine has no dual row for live net {stable}"))?;
-        if got != expected.as_slice() {
-            return Err(format!(
-                "dual row of net {stable} diverges: engine {got:?}, scratch {expected:?}"
-            ));
-        }
-        checks += 1;
-    }
-    Ok(checks)
+    script
 }
 
 /// Replays one edit script through engines at [`INCREMENTAL_ENGINE_THREADS`]
@@ -1320,10 +1279,10 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
                 let Some(nl) = engine.netlist() else {
                     return Err(format!("edit {i}: engine lost its netlist"));
                 };
-                nl.verify_dual()
-                    .map_err(|e| format!("edit {i} ({edit:?}): dual recount failed: {e}"))?;
+                nl.verify_incidence()
+                    .map_err(|e| format!("edit {i} ({edit:?}): incidence recount failed: {e}"))?;
                 checks += 1;
-                let Some((mat, module_ids, net_ids)) = engine.materialize() else {
+                let Some((mat, module_ids, _)) = engine.materialize() else {
                     return Err(format!("edit {i}: engine cannot materialize"));
                 };
                 let bp = Bipartition::from_fn(mat.num_vertices(), |v| {
@@ -1339,8 +1298,6 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
                     ));
                 }
                 checks += 1;
-                checks += dual_matches_scratch(nl, &mat, &net_ids)
-                    .map_err(|e| format!("edit {i} ({edit:?}): {e}"))?;
             }
         }
         // fhp-audit: allow(panic-site) — engines holds one entry per thread count, at least one
@@ -1505,8 +1462,8 @@ mod tests {
         let h = paper_example();
         let mut rng_a = SplitMix64::seed_from_u64(77);
         let mut rng_b = SplitMix64::seed_from_u64(77);
-        let a = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_a).unwrap();
-        let b = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_b).unwrap();
+        let a = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_a);
+        let b = generate_edit_script(&h, INCREMENTAL_SCRIPT_LEN, &mut rng_b);
         assert_eq!(a, b, "same seed must yield the same script");
         assert!(!a.is_empty());
         let checks = replay_edit_script(&h, 77, &a).expect("replay stays consistent");
