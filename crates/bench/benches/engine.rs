@@ -16,7 +16,14 @@
 //!   every edit on the zero-threshold engine takes the full path, with
 //!   `EngineStats` counting both exactly;
 //! - the full edit history fingerprints identically at 1, 2 and 8
-//!   worker threads.
+//!   worker threads;
+//! - every incremental edit's work (`EngineStats::work`: fingerprint
+//!   terms updated, per-net side-count updates, incident nets visited by
+//!   the repair's gain evaluations) stays within the O(damage) bound
+//!   `|pins of the edited net| + (|C| + 1) · Σ_{m∈C}(deg(m) + 1)`, where
+//!   `C` is the set of live touched modules, computed from the netlist
+//!   after the edit. The largest per-edit work is the gated count
+//!   `incr_work_max`.
 //!
 //! The ≥ 5× incremental-vs-full speedup acceptance gate is asserted in
 //! the full run only (`cargo bench -p fhp-bench --bench engine`), at the
@@ -68,18 +75,53 @@ fn edit_script(h: &Hypergraph, pairs: usize) -> Vec<Edit> {
     script
 }
 
+/// The O(damage) bound on one incremental edit's work units, from the
+/// netlist after the edit: the edited net's pins, plus at most
+/// `|C| + 1` gain-evaluation rounds over the incidence of the touched
+/// modules `C` and one flip per module.
+fn work_bound(engine: &PartitionEngine, net_pins: &[u32]) -> u64 {
+    let nl = engine.netlist().expect("loaded");
+    let degrees: Vec<u64> = net_pins
+        .iter()
+        .filter_map(|&m| nl.incident_nets(m))
+        .map(|nets| nets.len() as u64 + 1)
+        .collect();
+    net_pins.len() as u64 + (degrees.len() as u64 + 1) * degrees.iter().sum::<u64>()
+}
+
 /// Replays the script, timing each `apply`; returns the per-edit wall
-/// times and the observed repair kinds.
-fn replay(engine: &mut PartitionEngine, script: &[Edit]) -> (Vec<u128>, Vec<RepairKind>) {
+/// times, the observed repair kinds and the largest work of an
+/// incremental edit, asserting each against [`work_bound`].
+fn replay(engine: &mut PartitionEngine, script: &[Edit]) -> (Vec<u128>, Vec<RepairKind>, u64) {
     let mut walls = Vec::with_capacity(script.len());
     let mut repairs = Vec::with_capacity(script.len());
+    let mut work_max = 0;
     for edit in script {
+        let net_pins = match edit {
+            Edit::AddNet { pins, .. } => pins.clone(),
+            Edit::RemoveNet { net } => engine
+                .netlist()
+                .and_then(|nl| nl.net_pins(*net))
+                .expect("the script removes live nets")
+                .to_vec(),
+            other => unreachable!("the script never emits {other:?}"),
+        };
+        let work_before = engine.stats().work;
         let started = Instant::now();
         let delta = engine.apply(edit).expect("bench edits are valid");
         walls.push(started.elapsed().as_nanos());
         repairs.push(delta.repair);
+        if delta.repair == RepairKind::Incremental {
+            let work = engine.stats().work - work_before;
+            let bound = work_bound(engine, &net_pins);
+            assert!(
+                work <= bound,
+                "{edit:?}: {work} work units exceed the O(damage) bound {bound}"
+            );
+            work_max = work_max.max(work);
+        }
     }
-    (walls, repairs)
+    (walls, repairs, work_max)
 }
 
 fn main() {
@@ -127,7 +169,7 @@ fn main() {
         load_ns as f64 / 1e6
     );
     let script = edit_script(&h, incr_pairs);
-    let (mut incr_walls, incr_repairs) = replay(&mut incr, &script);
+    let (mut incr_walls, incr_repairs, incr_work_max) = replay(&mut incr, &script);
     assert!(
         incr_repairs.iter().all(|&r| r == RepairKind::Incremental),
         "default threshold must keep single-net edits on the incremental path: {incr_repairs:?}"
@@ -143,7 +185,7 @@ fn main() {
     let mut full = PartitionEngine::new(config(0, 2));
     full.load(&h).expect("instance loads");
     let full_script = edit_script(&h, full_pairs);
-    let (mut full_walls, full_repairs) = replay(&mut full, &full_script);
+    let (mut full_walls, full_repairs, _) = replay(&mut full, &full_script);
     assert!(
         full_repairs.iter().all(|&r| r == RepairKind::Full),
         "zero threshold must force the full path: {full_repairs:?}"
@@ -155,6 +197,7 @@ fn main() {
     let full_ns = median_ns(&mut full_walls);
 
     let speedup = full_ns as f64 / (incr_ns.max(1)) as f64;
+    println!("engine/work: largest incremental edit {incr_work_max} work units, within the O(damage) bound");
     println!(
         "engine/edit: incremental median {:.3} ms, full-recompute median {:.2} ms ({speedup:.1}x)",
         incr_ns as f64 / 1e6,
@@ -180,6 +223,7 @@ fn main() {
     let _ = writeln!(json, "  \"edits\": {},", stats.edits);
     let _ = writeln!(json, "  \"incremental_hits\": {},", stats.incremental_hits);
     let _ = writeln!(json, "  \"full_recomputes\": {},", fstats.full_recomputes);
+    let _ = writeln!(json, "  \"incr_work_max\": {incr_work_max},");
     let _ = writeln!(json, "  \"load_wall_ns\": {load_ns},");
     let _ = writeln!(json, "  \"incr_edit_wall_ns\": {incr_ns},");
     let _ = writeln!(json, "  \"full_edit_wall_ns\": {full_ns},");

@@ -12,11 +12,14 @@
 //! - **Incremental** — the damaged region (pins of the touched net, the
 //!   touched module) is small relative to the instance: the cut is
 //!   maintained by delta and a single localized FM pass over the damaged
-//!   modules repairs it, with no Algorithm I re-run. The structural edit
-//!   and the gain evaluations scale with the damaged region's incidence,
-//!   but each edit still pays two O(instance) scans: the side-weight
-//!   scan that sets the balance slack, and the state
-//!   [`fingerprint`](PartitionEngine::fingerprint).
+//!   modules repairs it, with no Algorithm I re-run. The fingerprint
+//!   terms, the side weights, the heaviest module weight and the per-net
+//!   side counts are kept by delta, so apart from the netlist's own
+//!   pin-list edit the cost is the damaged region's incidence times the
+//!   number of moves ([`EngineStats::work`] counts it). On the
+//!   10^5-signal engine bench (one core of a 2-vCPU VM) a single-net
+//!   edit takes about 2 µs; recomputing the fingerprint from scratch
+//!   took about 3 ms.
 //! - **Full** — the damage fraction exceeds
 //!   [`EngineConfig::damage_permille`]: the live netlist is
 //!   re-partitioned from scratch with [`Algorithm1`]. Fallbacks are
@@ -29,6 +32,8 @@
 //! every thread count — both repair tiers are built from components that
 //! already honor the workspace determinism contract.
 
+use std::collections::btree_map::Entry;
+use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use fhp_hypergraph::{DynamicNetlist, Hypergraph, IncrementalError, VertexId};
@@ -134,6 +139,11 @@ pub struct EngineStats {
     pub incremental_hits: u64,
     /// Edits that fell back to a full recompute.
     pub full_recomputes: u64,
+    /// Work units spent on the derived state: fingerprint terms
+    /// updated, per-net side-count updates, and incident nets visited by
+    /// the localized repair's gain evaluations. Load and the full and
+    /// trivial tiers add their from-scratch rebuild.
+    pub work: u64,
 }
 
 /// Engine tuning: the inner [`PartitionConfig`] (used at load and for
@@ -245,6 +255,9 @@ pub struct PartitionEngine {
     sides: Vec<Side>,
     /// Current weighted cut of the live netlist.
     cut: u64,
+    /// Fingerprint terms, side weights and per-net side counts, kept by
+    /// delta.
+    derived: Derived,
     stats: EngineStats,
     progress: Option<Arc<Progress>>,
 }
@@ -257,6 +270,7 @@ impl PartitionEngine {
             nl: None,
             sides: Vec::new(),
             cut: 0,
+            derived: Derived::default(),
             stats: EngineStats::default(),
             progress: None,
         }
@@ -304,6 +318,7 @@ impl PartitionEngine {
         self.sides = sides;
         self.cut = cut;
         self.stats = EngineStats::default();
+        self.rebuild_derived();
         self.sync_gauges();
         Ok(Delta {
             edit_index: 0,
@@ -344,11 +359,13 @@ impl PartitionEngine {
                 *side = Side::Left;
             }
             self.cut = 0;
+            self.rebuild_derived();
             RepairKind::Trivial
         } else if outcome.damaged.saturating_mul(1000)
             > (self.config.damage_permille as usize).saturating_mul(live)
         {
             self.repair_full()?;
+            self.rebuild_derived();
             RepairKind::Full
         } else {
             self.repair_incremental(&outcome.touched);
@@ -372,51 +389,33 @@ impl PartitionEngine {
         })
     }
 
-    /// Whether a pin set spans both sides under the current assignment.
-    fn spans(&self, pins: &[u32]) -> bool {
-        let Some((&first, rest)) = pins.split_first() else {
-            return false;
-        };
-        let side = self.side_at(first);
-        rest.iter().any(|&p| self.side_at(p) != side)
-    }
-
-    /// The recorded side of a module slot (`Left` for unknown slots).
-    fn side_at(&self, m: u32) -> Side {
-        self.sides.get(m as usize).copied().unwrap_or(Side::Left)
-    }
-
-    /// Applies the structural half of an edit, returning the damaged
+    /// Applies the structural half of an edit and patches the derived
+    /// state for exactly the entities it touches, returning the damaged
     /// module count, any freshly allocated id, the exact cut delta the
     /// edit caused under the unchanged assignment, and the modules whose
     /// incidence changed (the localized repair's seed set). Leaves
     /// `sides` sized to the slot count (new slots join the lighter side).
     fn apply_structural(&mut self, edit: &Edit) -> Result<StructuralOutcome, EngineError> {
-        if self.nl.is_none() {
-            return Err(EngineError::NotLoaded);
-        }
+        let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+        let derived = &mut self.derived;
         match edit {
             Edit::AddNet { pins, weight } => {
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
                 let id = nl.add_net(pins, *weight)?;
-                let cut_add = if self.spans(pins) { *weight } else { 0 };
+                self.stats.work += derived.add_net(id, *weight, pins, &self.sides);
                 Ok(StructuralOutcome {
                     damaged: pins.len(),
                     new_id: Some(id),
-                    cut_add,
+                    cut_add: if derived.spans(id) { *weight } else { 0 },
                     cut_sub: 0,
                     touched: pins.clone(),
                 })
             }
             Edit::RemoveNet { net } => {
-                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
                 let touched = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
                 let weight = nl.net_weight(*net).unwrap_or(0);
-                let cut_sub = if self.spans(&touched) { weight } else { 0 };
-                self.nl
-                    .as_mut()
-                    .ok_or(EngineError::NotLoaded)?
-                    .remove_net(*net)?;
+                let cut_sub = if derived.spans(*net) { weight } else { 0 };
+                nl.remove_net(*net)?;
+                self.stats.work += derived.remove_net(*net, weight, &touched);
                 Ok(StructuralOutcome {
                     damaged: touched.len(),
                     new_id: None,
@@ -426,10 +425,10 @@ impl PartitionEngine {
                 })
             }
             Edit::AddModule { weight } => {
-                let lighter = self.lighter_side();
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+                let lighter = derived.lighter_side();
                 let id = nl.add_module(*weight)?;
                 self.sides.push(lighter);
+                self.stats.work += derived.add_module(id, *weight, lighter);
                 Ok(StructuralOutcome {
                     damaged: 1,
                     new_id: Some(id),
@@ -441,8 +440,10 @@ impl PartitionEngine {
             Edit::RemoveModule { module } => {
                 // Only isolated modules are removable, so no net's
                 // spanning status can change.
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+                let weight = nl.module_weight(*module).unwrap_or(0);
                 nl.remove_module(*module)?;
+                let side = side_in(&self.sides, *module);
+                self.stats.work += derived.remove_module(*module, weight, side);
                 Ok(StructuralOutcome {
                     damaged: 0,
                     new_id: None,
@@ -453,8 +454,10 @@ impl PartitionEngine {
             }
             Edit::ReweightModule { module, weight } => {
                 // A weight change never moves a net across the cut.
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+                let old = nl.module_weight(*module).unwrap_or(0);
                 nl.reweight_module(*module, *weight)?;
+                let side = side_in(&self.sides, *module);
+                self.stats.work += derived.update_module(*module, (old, side), (*weight, side));
                 Ok(StructuralOutcome {
                     damaged: 1,
                     new_id: None,
@@ -464,23 +467,17 @@ impl PartitionEngine {
                 })
             }
             Edit::PinChange { net, module, add } => {
-                let nl = self.nl.as_ref().ok_or(EngineError::NotLoaded)?;
-                let before = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
                 let weight = nl.net_weight(*net).unwrap_or(0);
-                let spanned_before = self.spans(&before);
-                let nl = self.nl.as_mut().ok_or(EngineError::NotLoaded)?;
+                let spanned_before = derived.spans(*net);
                 nl.pin_change(*net, *module, *add)?;
+                let side = side_in(&self.sides, *module);
+                self.stats.work += derived.pin_change(*net, *module, side, *add);
+                let spans_after = derived.spans(*net);
                 let mut touched = nl.net_pins(*net).map(<[u32]>::to_vec).unwrap_or_default();
                 let damaged = touched.len() + 1;
                 if !touched.contains(module) {
                     touched.push(*module);
                 }
-                let spans_after = self.spans(
-                    self.nl
-                        .as_ref()
-                        .and_then(|nl| nl.net_pins(*net))
-                        .unwrap_or(&[]),
-                );
                 Ok(StructuralOutcome {
                     damaged,
                     new_id: None,
@@ -500,30 +497,13 @@ impl PartitionEngine {
         }
     }
 
-    /// The live weight on each side (indexed by [`Side::index`]) and the
-    /// heaviest live module, from one scan of the live modules.
-    fn side_weights(&self) -> ([u64; 2], u64) {
-        let mut weights = [0u64; 2];
-        let mut heaviest = 0u64;
-        let Some(nl) = self.nl.as_ref() else {
-            return (weights, heaviest);
-        };
-        for m in nl.live_modules() {
-            let w = nl.module_weight(m).unwrap_or(0);
-            weights[self.side_at(m).index()] += w; // fhp-audit: allow(panic-site) — Side::index() is 0 or 1, within the fixed [u64; 2]
-            heaviest = heaviest.max(w);
-        }
-        (weights, heaviest)
-    }
-
-    /// The side with the smaller live weight (ties go Left) — the
-    /// deterministic placement of freshly added modules.
-    fn lighter_side(&self) -> Side {
-        let ([left, right], _) = self.side_weights();
-        if right < left {
-            Side::Right
-        } else {
-            Side::Left
+    /// Recomputes the derived state from scratch: load and the
+    /// full-recompute and trivial tiers, which are O(instance) anyway.
+    fn rebuild_derived(&mut self) {
+        if let Some(nl) = self.nl.as_ref() {
+            let (derived, work) = Derived::scan(nl, &self.sides);
+            self.derived = derived;
+            self.stats.work += work;
         }
     }
 
@@ -533,8 +513,9 @@ impl PartitionEngine {
     /// modules whose move strictly lowers the cut, under the same
     /// adaptive balance slack [`FmRefiner`](crate::refine::FmRefiner)
     /// uses (twice the heaviest live module), each module at most once.
-    /// Besides one O(live modules) side-weight scan, the cost is the
-    /// damaged modules' incidence times the number of moves.
+    /// The side weights, the heaviest weight and the per-net side counts
+    /// are kept by delta, so the cost is the damaged modules' incidence
+    /// times the number of moves.
     fn repair_incremental(&mut self, touched: &[u32]) {
         let Some(nl) = self.nl.as_ref() else { return };
         let mut candidates: Vec<u32> = touched
@@ -548,25 +529,25 @@ impl PartitionEngine {
             return;
         }
         // The balance slack mirrors FmRefiner's adaptive floor.
-        let (mut side_weight, heaviest) = self.side_weights();
-        let imbalance = side_weight[0].abs_diff(side_weight[1]); // fhp-audit: allow(panic-site) — literal indices into the fixed [u64; 2]
-        let tolerance = imbalance.max(heaviest.saturating_mul(2));
+        let [left, right] = self.derived.side_weight;
+        let tolerance = left
+            .abs_diff(right)
+            .max(self.derived.heaviest().saturating_mul(2));
         let mut moved = vec![false; candidates.len()];
         loop {
             let mut best: Option<(u64, usize)> = None;
-            for (i, &m) in candidates.iter().enumerate() {
-                // fhp-audit: allow(panic-site) — i comes from enumerate() over the same-length candidates
-                if moved[i] {
+            for (i, (&m, &done)) in candidates.iter().zip(&moved).enumerate() {
+                if done {
                     continue;
                 }
                 let w = nl.module_weight(m).unwrap_or(0);
-                let from = self.side_at(m).index();
-                // fhp-audit: allow(panic-site) — from is Side::index() (0 or 1), both indices within the fixed [u64; 2]
-                let new_imbalance = (side_weight[from] - w).abs_diff(side_weight[1 - from] + w);
-                if new_imbalance > tolerance {
+                let from = side_in(&self.sides, m);
+                if self.derived.imbalance_after_move(w, from) > tolerance {
                     continue;
                 }
-                let gain = self.flip_gain(nl, m);
+                let nets = nl.incident_nets(m).unwrap_or(&[]);
+                self.stats.work += nets.len() as u64;
+                let gain = self.derived.flip_gain(nl, nets, from);
                 if gain <= 0 {
                     continue;
                 }
@@ -578,38 +559,15 @@ impl PartitionEngine {
             let Some((gain, i)) = best else { break };
             let m = candidates[i]; // fhp-audit: allow(panic-site) — i was produced by enumerate() over candidates
             let w = nl.module_weight(m).unwrap_or(0);
-            let from = self.side_at(m).index();
-            side_weight[from] -= w; // fhp-audit: allow(panic-site) — from is Side::index() (0 or 1)
-            side_weight[1 - from] += w; // fhp-audit: allow(panic-site) — from is Side::index() (0 or 1)
+            let from = side_in(&self.sides, m);
             if let Some(slot) = self.sides.get_mut(m as usize) {
-                *slot = if from == 0 { Side::Right } else { Side::Left };
+                *slot = from.opposite();
             }
+            let nets = nl.incident_nets(m).unwrap_or(&[]);
+            self.stats.work += self.derived.flip(m, w, from, nets);
             self.cut = self.cut.saturating_sub(gain);
             moved[i] = true; // fhp-audit: allow(panic-site) — i was produced by enumerate() over the same-length moved
         }
-    }
-
-    /// The cut reduction from flipping module `m` to the other side
-    /// (negative when the flip would worsen the cut): for each incident
-    /// net, moving the last same-side pin away uncuts it, moving any pin
-    /// out of a one-sided net cuts it.
-    fn flip_gain(&self, nl: &DynamicNetlist, m: u32) -> i64 {
-        let mut gain = 0i64;
-        let my_side = self.side_at(m);
-        for &e in nl.incident_nets(m).unwrap_or(&[]) {
-            let Some(pins) = nl.net_pins(e) else { continue };
-            if pins.len() < 2 {
-                continue;
-            }
-            let same = pins.iter().filter(|&&p| self.side_at(p) == my_side).count();
-            let w = nl.net_weight(e).unwrap_or(0) as i64; // fhp-audit: allow(as-cast-truncation) — net weights are far below i64::MAX
-            if same == pins.len() {
-                gain -= w; // was uncut, the flip cuts it
-            } else if same == 1 {
-                gain += w; // m is the lone pin on its side: the flip uncuts it
-            }
-        }
-        gain
     }
 
     /// Fallback repair: re-partition the compacted live netlist from
@@ -681,36 +639,287 @@ impl PartitionEngine {
         self.nl.as_ref().map(DynamicNetlist::materialize)
     }
 
-    /// The state fingerprint: an order-independent mix over every live
-    /// module (id, weight, side), every live net (id, weight, pins), and
-    /// the current cut. The pin lists determine every derived structure
-    /// (the incidence, and the dual graph `G` a recompute builds), so
-    /// the fingerprint covers all observable state. Equal fingerprints
-    /// after the same edit sequence at different thread counts is the
+    /// The state fingerprint: an order-independent wrapping sum of one
+    /// hash term per live module (id, weight, side), per live net (id,
+    /// weight) and per pin (net, module), mixed with the current cut. The
+    /// pin lists determine every derived structure (the incidence, and
+    /// the dual graph `G` a recompute builds), so the fingerprint covers
+    /// all observable state. Every edit and repair flip updates only the
+    /// terms it touches, so this is O(1). Equal fingerprints after the
+    /// same edit sequence at different thread counts is the
     /// determinism-under-edits contract.
     pub fn fingerprint(&self) -> u64 {
-        let Some(nl) = self.nl.as_ref() else {
+        if self.nl.is_none() {
             return 0;
-        };
-        let mut acc = 0x243f_6a88_85a3_08d3u64; // pi, as tradition demands
-        for m in nl.live_modules() {
-            let side = self.sides.get(m as usize).copied().unwrap_or(Side::Left);
-            acc = mix64(
-                acc ^ mix64(u64::from(m))
-                    ^ nl.module_weight(m).unwrap_or(0)
-                    ^ (side.index() as u64) << 63,
-            );
         }
-        for e in nl.live_nets() {
-            acc = mix64(acc ^ mix64(u64::from(e) | 1 << 32) ^ nl.net_weight(e).unwrap_or(0));
-            if let Some(pins) = nl.net_pins(e) {
-                for &p in pins {
-                    acc = mix64(acc ^ u64::from(p));
-                }
+        mix64(self.derived.terms ^ mix64(self.cut))
+    }
+
+    /// Recomputes the derived state — the fingerprint term sum, the side
+    /// weights, the heaviest live module weight and every net's per-side
+    /// pin counts — from the pin lists and the side assignment, and
+    /// compares it against the state kept by delta; the first divergence
+    /// is returned as a description. The verification path of the
+    /// `incremental` oracle and the unit tests, modelled on
+    /// [`DynamicNetlist::verify_incidence`].
+    pub fn verify_derived(&self) -> Result<(), String> {
+        let Some(nl) = self.nl.as_ref() else {
+            return Ok(());
+        };
+        let (want, _) = Derived::scan(nl, &self.sides);
+        let got = &self.derived;
+        if got.terms != want.terms {
+            return Err(format!(
+                "fingerprint term sum {:#x}, recomputed {:#x}",
+                got.terms, want.terms
+            ));
+        }
+        if got.side_weight != want.side_weight {
+            return Err(format!(
+                "side weights {:?}, recomputed {:?}",
+                got.side_weight, want.side_weight
+            ));
+        }
+        if got.weights != want.weights {
+            return Err(format!(
+                "heaviest module weight {} ({:?}), recomputed {} ({:?})",
+                got.heaviest(),
+                got.weights,
+                want.heaviest(),
+                want.weights
+            ));
+        }
+        if got.pins_on.len() != want.pins_on.len() {
+            return Err(format!(
+                "side counts cover {} net slots, recomputed {}",
+                got.pins_on.len(),
+                want.pins_on.len()
+            ));
+        }
+        for (e, (g, w)) in got.pins_on.iter().zip(&want.pins_on).enumerate() {
+            if g != w {
+                return Err(format!(
+                    "side counts of net {e}: maintained {g:?}, recomputed {w:?}"
+                ));
             }
         }
-        mix64(acc ^ self.cut)
+        Ok(())
     }
+}
+
+/// The engine state derived from the netlist and the side assignment,
+/// kept by delta: each structural edit and each repair flip updates only
+/// the entries of the entities it touches. Every update returns the work
+/// units it spent (one per fingerprint term, one per side-count update)
+/// for [`EngineStats::work`].
+#[derive(Debug, Default)]
+struct Derived {
+    /// Wrapping sum of the fingerprint terms of every live module, live
+    /// net and pin.
+    terms: u64,
+    /// Live module weight per side, indexed by [`Side::index`].
+    side_weight: [u64; 2],
+    /// Live module weight → number of live modules of that weight; the
+    /// last key is the heaviest.
+    weights: BTreeMap<u64, u32>,
+    /// Net slot → its pins per side, indexed by [`Side::index`]; dead
+    /// slots hold `[0, 0]`.
+    pins_on: Vec<[u32; 2]>,
+}
+
+impl Derived {
+    /// The derived state of `nl` under `sides`, from scratch, and the
+    /// work units spent.
+    fn scan(nl: &DynamicNetlist, sides: &[Side]) -> (Self, u64) {
+        let mut derived = Self {
+            pins_on: vec![[0; 2]; nl.net_slots()],
+            ..Self::default()
+        };
+        let mut work = 0;
+        for m in nl.live_modules() {
+            let weight = nl.module_weight(m).unwrap_or(0);
+            work += derived.add_module(m, weight, side_in(sides, m));
+        }
+        for e in nl.live_nets() {
+            let weight = nl.net_weight(e).unwrap_or(0);
+            work += derived.add_net(e, weight, nl.net_pins(e).unwrap_or(&[]), sides);
+        }
+        (derived, work)
+    }
+
+    /// The heaviest live module weight (0 with no live module).
+    fn heaviest(&self) -> u64 {
+        self.weights.keys().next_back().copied().unwrap_or(0)
+    }
+
+    /// The side with the smaller live weight (ties go Left) — the
+    /// deterministic placement of freshly added modules.
+    fn lighter_side(&self) -> Side {
+        let [left, right] = self.side_weight;
+        if right < left {
+            Side::Right
+        } else {
+            Side::Left
+        }
+    }
+
+    /// The side-weight imbalance after moving weight `w` off `from`.
+    fn imbalance_after_move(&self, w: u64, from: Side) -> u64 {
+        let mut weights = self.side_weight;
+        *on_side(&mut weights, from) -= w;
+        *on_side(&mut weights, from.opposite()) += w;
+        let [left, right] = weights;
+        left.abs_diff(right)
+    }
+
+    /// Whether a net has pins on both sides (dead nets never do).
+    fn spans(&self, e: u32) -> bool {
+        let [left, right] = self.pins_on.get(e as usize).copied().unwrap_or([0; 2]);
+        left > 0 && right > 0
+    }
+
+    fn add_module(&mut self, m: u32, weight: u64, side: Side) -> u64 {
+        self.terms = self.terms.wrapping_add(module_term(m, weight, side));
+        *on_side(&mut self.side_weight, side) += weight;
+        *self.weights.entry(weight).or_insert(0) += 1;
+        1
+    }
+
+    fn remove_module(&mut self, m: u32, weight: u64, side: Side) -> u64 {
+        self.terms = self.terms.wrapping_sub(module_term(m, weight, side));
+        *on_side(&mut self.side_weight, side) -= weight;
+        if let Entry::Occupied(mut count) = self.weights.entry(weight) {
+            *count.get_mut() -= 1;
+            if *count.get() == 0 {
+                count.remove();
+            }
+        }
+        1
+    }
+
+    /// Replaces a live module's (weight, side): a reweight or a flip
+    /// updates its one fingerprint term.
+    fn update_module(&mut self, m: u32, from: (u64, Side), to: (u64, Side)) -> u64 {
+        self.remove_module(m, from.0, from.1);
+        self.add_module(m, to.0, to.1);
+        1
+    }
+
+    /// Adds a live net: its term, one term per pin and its side counts.
+    fn add_net(&mut self, e: u32, weight: u64, pins: &[u32], sides: &[Side]) -> u64 {
+        self.terms = self.terms.wrapping_add(net_term(e, weight));
+        let mut counts = [0u32; 2];
+        for &m in pins {
+            self.terms = self.terms.wrapping_add(pin_term(e, m));
+            *on_side(&mut counts, side_in(sides, m)) += 1;
+        }
+        let slot = e as usize;
+        if self.pins_on.len() <= slot {
+            self.pins_on.resize(slot + 1, [0; 2]);
+        }
+        if let Some(entry) = self.pins_on.get_mut(slot) {
+            *entry = counts;
+        }
+        1 + 2 * pins.len() as u64
+    }
+
+    /// Drops a removed net's term, its pin terms and its side counts.
+    fn remove_net(&mut self, e: u32, weight: u64, pins: &[u32]) -> u64 {
+        self.terms = self.terms.wrapping_sub(net_term(e, weight));
+        for &m in pins {
+            self.terms = self.terms.wrapping_sub(pin_term(e, m));
+        }
+        if let Some(entry) = self.pins_on.get_mut(e as usize) {
+            *entry = [0; 2];
+        }
+        2 + pins.len() as u64
+    }
+
+    /// Adds or drops one pin's term and side count.
+    fn pin_change(&mut self, e: u32, m: u32, side: Side, add: bool) -> u64 {
+        if let Some(entry) = self.pins_on.get_mut(e as usize) {
+            let count = on_side(entry, side);
+            if add {
+                *count += 1;
+            } else {
+                *count -= 1;
+            }
+        }
+        self.terms = if add {
+            self.terms.wrapping_add(pin_term(e, m))
+        } else {
+            self.terms.wrapping_sub(pin_term(e, m))
+        };
+        2
+    }
+
+    /// Moves module `m` (weight `w`, incident `nets`) off side `from`.
+    fn flip(&mut self, m: u32, w: u64, from: Side, nets: &[u32]) -> u64 {
+        let work = self.update_module(m, (w, from), (w, from.opposite()));
+        for &e in nets {
+            if let Some(entry) = self.pins_on.get_mut(e as usize) {
+                *on_side(entry, from) -= 1;
+                *on_side(entry, from.opposite()) += 1;
+            }
+        }
+        work + nets.len() as u64
+    }
+
+    /// The cut reduction from moving a module with incident `nets` off
+    /// `side` (negative when the move would worsen the cut): for each
+    /// net, moving the last pin on `side` away uncuts it, moving any pin
+    /// out of a one-sided net cuts it. O(incident nets) from the side
+    /// counts.
+    fn flip_gain(&self, nl: &DynamicNetlist, nets: &[u32], side: Side) -> i64 {
+        let mut gain = 0i64;
+        for &e in nets {
+            let mut counts = self.pins_on.get(e as usize).copied().unwrap_or([0; 2]);
+            let pins = counts.iter().sum::<u32>();
+            if pins < 2 {
+                continue;
+            }
+            let same = *on_side(&mut counts, side);
+            let w = nl.net_weight(e).unwrap_or(0) as i64; // fhp-audit: allow(as-cast-truncation) — net weights are far below i64::MAX
+            if same == pins {
+                gain -= w; // was uncut, the move cuts it
+            } else if same == 1 {
+                gain += w; // the lone pin on its side: the move uncuts it
+            }
+        }
+        gain
+    }
+}
+
+/// The recorded side of a module slot (`Left` for unknown slots).
+fn side_in(sides: &[Side], m: u32) -> Side {
+    sides.get(m as usize).copied().unwrap_or(Side::Left)
+}
+
+/// The entry of a per-side pair that belongs to `side`.
+fn on_side<T>(pair: &mut [T; 2], side: Side) -> &mut T {
+    let [left, right] = pair;
+    match side {
+        Side::Left => left,
+        Side::Right => right,
+    }
+}
+
+/// Domain tags keeping the module, net and pin fingerprint terms apart
+/// (the hex digits of pi, as tradition demands).
+const MODULE_TAG: u64 = 0x243f_6a88_85a3_08d3;
+const NET_TAG: u64 = 0x1319_8a2e_0370_7344;
+const PIN_TAG: u64 = 0xa409_3822_299f_31d0;
+
+fn module_term(m: u32, weight: u64, side: Side) -> u64 {
+    mix64(mix64(MODULE_TAG ^ u64::from(m) ^ (side.index() as u64) << 32) ^ weight)
+}
+
+fn net_term(e: u32, weight: u64) -> u64 {
+    mix64(mix64(NET_TAG ^ u64::from(e)) ^ weight)
+}
+
+fn pin_term(e: u32, m: u32) -> u64 {
+    mix64(PIN_TAG ^ (u64::from(e) << 32 | u64::from(m)))
 }
 
 /// SplitMix64's finalizer (the same avalanche the workspace fingerprints
@@ -853,6 +1062,202 @@ mod tests {
         assert_eq!(d.cut_after, d.cut_before, "the cut must not move");
         assert_eq!(sides(&engine), before, "no side may move");
         assert_ne!(d.fingerprint, fp, "the pin list changed");
+    }
+
+    /// The engine's balance slack, `max(imbalance, 2·heaviest)`, from a
+    /// full scan of the live modules.
+    fn scanned_slack(engine: &PartitionEngine) -> u64 {
+        let nl = engine.netlist().expect("loaded");
+        let mut weights = [0u64; 2];
+        let mut heaviest = 0;
+        for m in nl.live_modules() {
+            let w = nl.module_weight(m).expect("live");
+            weights[engine.side_of(m).expect("live").index()] += w;
+            heaviest = heaviest.max(w);
+        }
+        weights[0].abs_diff(weights[1]).max(2 * heaviest)
+    }
+
+    fn kept_slack(engine: &PartitionEngine) -> u64 {
+        let [left, right] = engine.derived.side_weight;
+        left.abs_diff(right).max(2 * engine.derived.heaviest())
+    }
+
+    #[test]
+    fn random_edit_walk_keeps_derived_state() {
+        use rand::rngs::SplitMix64;
+        use rand::{Rng, SeedableRng};
+
+        let h = fhp_gen::scaling_instance(2_000, 5).expect("generates");
+        let mut engine = PartitionEngine::new(
+            EngineConfig::new().partition(PartitionConfig::new().starts(2).seed(5)),
+        );
+        engine.load(&h).expect("loads");
+        engine.verify_derived().expect("derived state after load");
+        // Restart from an alternating split: its many cut nets and small
+        // imbalance let the localized repair flip modules both ways.
+        for (m, side) in engine.sides.iter_mut().enumerate() {
+            *side = Side::from_index(m % 2);
+        }
+        let bp = Bipartition::from_fn(h.num_vertices(), |v| Side::from_index(v.index() % 2));
+        engine.cut = crate::metrics::weighted_cut(&h, &bp);
+        engine.rebuild_derived();
+        let mut rng = SplitMix64::seed_from_u64(0x5eed);
+        // Accepted edits per kind (pin additions and removals apart), and
+        // the modules the localized repair flipped.
+        let mut kinds = [0usize; 7];
+        let mut flips = 0;
+        for step in 0..300 {
+            let nl = engine.netlist().expect("loaded");
+            let modules: Vec<u32> = nl.live_modules().collect();
+            let nets: Vec<u32> = nl.live_nets().collect();
+            let module = modules[rng.gen_range(0..modules.len())];
+            let net = nets[rng.gen_range(0..nets.len())];
+            let pins = nl.net_pins(net).expect("live net");
+            let kind = rng.gen_range(0..7);
+            let edit = match kind {
+                0 => {
+                    let mut pins: Vec<u32> = (0..rng.gen_range(2..6))
+                        .map(|_| modules[rng.gen_range(0..modules.len())])
+                        .collect();
+                    pins.sort_unstable();
+                    pins.dedup();
+                    Edit::AddNet {
+                        pins,
+                        weight: rng.gen_range(1..20),
+                    }
+                }
+                1 => Edit::RemoveNet { net },
+                2 => Edit::AddModule {
+                    weight: rng.gen_range(1..5),
+                },
+                3 => match modules
+                    .iter()
+                    .find(|&&m| nl.incident_nets(m).is_some_and(<[u32]>::is_empty))
+                {
+                    Some(&module) => Edit::RemoveModule { module },
+                    None => Edit::AddModule { weight: 1 },
+                },
+                4 => Edit::ReweightModule {
+                    module,
+                    weight: rng.gen_range(1..7),
+                },
+                5 => Edit::PinChange {
+                    net,
+                    module,
+                    add: !pins.contains(&module),
+                },
+                _ => Edit::PinChange {
+                    net,
+                    module: pins[rng.gen_range(0..pins.len())],
+                    add: false,
+                },
+            };
+            let before: Vec<_> = modules.iter().map(|&m| engine.side_of(m)).collect();
+            // A refused edit (the last pin of a net) must leave the
+            // derived state as consistent as an accepted one.
+            if let Ok(d) = engine.apply(&edit) {
+                kinds[kind] += 1;
+                if d.repair == RepairKind::Incremental {
+                    flips += modules
+                        .iter()
+                        .zip(&before)
+                        .filter(|&(&m, &side)| {
+                            engine.side_of(m).is_some_and(|now| Some(now) != side)
+                        })
+                        .count();
+                }
+            }
+            engine
+                .verify_derived()
+                .unwrap_or_else(|e| panic!("step {step} ({edit:?}): {e}"));
+            assert_cut_consistent(&engine);
+            assert_eq!(kept_slack(&engine), scanned_slack(&engine), "step {step}");
+        }
+        assert!(
+            kinds.iter().all(|&k| k > 0),
+            "every edit kind ran: {kinds:?}"
+        );
+        assert!(flips > 0, "the localized repair flipped modules");
+    }
+
+    #[test]
+    fn fingerprint_is_independent_of_edit_order() {
+        // Reweights commute, and an added-then-removed net leaves only its
+        // consumed id behind: both orders reach the same live state.
+        let script = [
+            Edit::ReweightModule {
+                module: 2,
+                weight: 5,
+            },
+            Edit::AddNet {
+                pins: vec![0, 11],
+                weight: 2,
+            },
+            Edit::RemoveNet { net: 7 },
+            Edit::ReweightModule {
+                module: 9,
+                weight: 3,
+            },
+        ];
+        let run = |order: &[usize]| {
+            let mut engine = loaded_engine();
+            for &i in order {
+                engine.apply(&script[i]).expect("scripted edit");
+            }
+            let sides: Vec<_> = (0..12).map(|m| engine.side_of(m)).collect();
+            (engine.fingerprint(), engine.cut(), sides)
+        };
+        let forward = run(&[0, 1, 2, 3]);
+        let backward = run(&[3, 2, 1, 0]);
+        assert_eq!(forward.1, backward.1, "same cut");
+        assert_eq!(forward.2, backward.2, "same sides");
+        assert_eq!(forward.0, backward.0, "same live state, same fingerprint");
+        assert_ne!(forward.0, loaded_engine().fingerprint(), "the edits show");
+    }
+
+    #[test]
+    fn heaviest_module_survives_reweight_down_and_removal() {
+        let mut engine = loaded_engine();
+        let slack = scanned_slack(&engine);
+        let mut heavy = Vec::new();
+        for _ in 0..2 {
+            let d = engine
+                .apply(&Edit::AddModule { weight: 40 })
+                .expect("valid");
+            heavy.push(d.new_id.expect("AddModule allocates an id"));
+            assert_eq!(kept_slack(&engine), scanned_slack(&engine));
+        }
+        assert_eq!(engine.derived.heaviest(), 40);
+        // One of the two heaviest goes down to weight 1, then away: the
+        // other still carries the maximum.
+        engine
+            .apply(&Edit::ReweightModule {
+                module: heavy[0],
+                weight: 1,
+            })
+            .expect("live");
+        assert_eq!(kept_slack(&engine), scanned_slack(&engine));
+        engine
+            .apply(&Edit::RemoveModule { module: heavy[0] })
+            .expect("isolated");
+        assert_eq!(engine.derived.heaviest(), 40);
+        assert_eq!(kept_slack(&engine), scanned_slack(&engine));
+        // The last heavy module goes the same way: the maximum falls back
+        // to the loaded instance's.
+        engine
+            .apply(&Edit::ReweightModule {
+                module: heavy[1],
+                weight: 1,
+            })
+            .expect("live");
+        assert_eq!(kept_slack(&engine), scanned_slack(&engine));
+        engine
+            .apply(&Edit::RemoveModule { module: heavy[1] })
+            .expect("isolated");
+        assert_eq!(kept_slack(&engine), scanned_slack(&engine));
+        assert_eq!(kept_slack(&engine), slack, "back to the loaded balance");
+        engine.verify_derived().expect("derived state");
     }
 
     #[test]

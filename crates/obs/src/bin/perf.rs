@@ -13,7 +13,9 @@
 //!
 //! - **timing keys** (`*wall*`, `*_ns`, `*ratio*`, `*dur*`) regress when
 //!   `current / baseline` exceeds `--threshold` (default 1.5 — wall time
-//!   is noisy, especially on shared CI runners);
+//!   is noisy, especially on shared CI runners); `speedup*` keys are
+//!   the exception, higher-is-better ratios that regress when
+//!   `current / baseline` falls below `1 / --threshold`;
 //! - **count keys** (passes, peak buffers, bytes spilled, cuts, events —
 //!   everything seed-deterministic) regress on **any** increase beyond
 //!   `--count-threshold` (default 1.0): the workspace's determinism
@@ -263,6 +265,11 @@ fn classify(key: &str) -> KeyClass {
     KeyClass::Count
 }
 
+/// Timing keys where larger is better: `speedup*` ratios.
+fn higher_is_better(key: &str) -> bool {
+    key.rsplit('.').next().unwrap_or(key).starts_with("speedup")
+}
+
 // ---------------------------------------------------------------- compare
 
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
@@ -315,9 +322,15 @@ fn compare(
                 }
             }
             KeyClass::Timing => {
-                if ratio > opts.threshold {
+                // A speedup regresses when it falls, a time when it rises.
+                let slowdown = if higher_is_better(key) {
+                    1.0 / ratio
+                } else {
+                    ratio
+                };
+                if slowdown > opts.threshold {
                     Status::Regression
-                } else if ratio < 1.0 / opts.threshold {
+                } else if slowdown < 1.0 / opts.threshold {
                     Status::Improved
                 } else {
                     Status::Ok
@@ -587,6 +600,26 @@ mod tests {
         assert_eq!(wall.status, Status::Regression);
         assert!((wall.ratio - 2.0).abs() < 1e-9);
         assert_eq!(tally(&deltas).0, 1, "only the injected key regresses");
+    }
+
+    #[test]
+    fn speedup_keys_are_higher_is_better() {
+        const ENGINE: &str = r#"{"bench": "engine", "incr_edit_wall_ns": 137968,
+            "speedup_ratio": 48.0}"#;
+        assert_eq!(classify("speedup_ratio"), KeyClass::Timing);
+        let base = ingest("base", ENGINE).unwrap();
+        let status = |cur: &str| {
+            let cur = ingest("cur", &with(ENGINE, "48.0", cur)).unwrap();
+            let deltas = compare(&base, &cur, &opts());
+            deltas
+                .iter()
+                .find(|d| d.key == "speedup_ratio")
+                .unwrap()
+                .status
+        };
+        assert_eq!(status("1920.0"), Status::Improved, "a 40x rise");
+        assert_eq!(status("24.0"), Status::Regression, "a 2x drop");
+        assert_eq!(status("40.0"), Status::Ok, "within the threshold");
     }
 
     #[test]

@@ -1071,8 +1071,11 @@ const INCREMENTAL_SHRINK_EVALS: usize = 64;
 /// replayed through [`PartitionEngine`]s at two thread counts, and after
 /// **every** edit the engine's view is diffed against a from-scratch
 /// recount — the module → net incidence against the pin lists, the
-/// maintained cut against a pin-by-pin recount on the materialized
-/// netlist, the fingerprints across thread counts, and rejected edits
+/// engine's delta-kept fingerprint terms, side weights, heaviest weight
+/// and per-net side counts against a rescan
+/// ([`PartitionEngine::verify_derived`]), the maintained cut against a
+/// pin-by-pin recount on the materialized netlist, the fingerprints
+/// across thread counts, and rejected edits
 /// against identical rejections. On divergence the script itself is greedily
 /// minimized (drop-one-edit passes under a replay budget) and embedded in
 /// the violation, so reproductions carry both the shrunk instance and the
@@ -1281,6 +1284,10 @@ fn replay_edit_script(h: &Hypergraph, seed: u64, script: &[Edit]) -> Result<u64,
                 };
                 nl.verify_incidence()
                     .map_err(|e| format!("edit {i} ({edit:?}): incidence recount failed: {e}"))?;
+                checks += 1;
+                engine.verify_derived().map_err(|e| {
+                    format!("edit {i} ({edit:?}): derived-state recount failed: {e}")
+                })?;
                 checks += 1;
                 let Some((mat, module_ids, _)) = engine.materialize() else {
                     return Err(format!("edit {i}: engine cannot materialize"));
