@@ -9,7 +9,8 @@
 //! wraps it with the seeded random-restart *bipartitioner* front the
 //! baseline comparisons use.
 
-use fhp_core::moves::{random_balanced_start, MoveState};
+use fhp_core::moves::random_balanced_start;
+use fhp_core::refine::FmScratch;
 use fhp_core::{Bipartition, Bipartitioner, FmRefiner, PartitionError};
 use fhp_hypergraph::Hypergraph;
 use fhp_obs::{names, order, Collector};
@@ -81,25 +82,6 @@ impl FiducciaMattheyses {
         self
     }
 
-    /// [`FmRefiner::run_passes`] with pass counting: the same
-    /// pass-until-fixpoint loop, returning how many passes actually ran.
-    fn run_passes_counted(
-        &self,
-        h: &Hypergraph,
-        start: Bipartition,
-        tolerance: u64,
-    ) -> (Bipartition, u64) {
-        let mut st = MoveState::new(h, start);
-        let mut passes = 0u64;
-        for _ in 0..self.refiner.max_passes_value() {
-            passes += 1;
-            if self.refiner.pass(&mut st, tolerance) == 0 {
-                break;
-            }
-        }
-        (st.into_partition(), passes)
-    }
-
     fn effective_tolerance(&self, h: &Hypergraph) -> u64 {
         self.refiner.effective_tolerance(h)
     }
@@ -129,7 +111,7 @@ impl Bipartitioner for FiducciaMattheyses {
         let tolerance = self.effective_tolerance(h);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut best: Option<(u64, Bipartition)> = None;
-        let mut total_passes = 0u64;
+        let mut scratch = FmScratch::new();
         for i in 0..self.restarts {
             let start = random_balanced_start(h, &mut rng);
             let scope = self
@@ -137,12 +119,13 @@ impl Bipartitioner for FiducciaMattheyses {
                 .is_enabled()
                 .then(|| self.collector.scope(order::start(i), Some(i as u32)));
             let span = scope.as_ref().map(|s| s.span(names::FM_RESTART));
-            let (bp, passes) = self.run_passes_counted(h, start, tolerance);
+            let bp = self
+                .refiner
+                .run_passes_with(h, start, tolerance, &mut scratch);
             drop(span);
             if let Some(s) = scope {
                 self.collector.adopt(s.finish());
             }
-            total_passes += passes;
             let cut = fhp_core::metrics::weighted_cut(h, &bp);
             if best.as_ref().is_none_or(|(c, _)| cut < *c) {
                 best = Some((cut, bp));
@@ -151,7 +134,7 @@ impl Bipartitioner for FiducciaMattheyses {
         if self.collector.is_enabled() {
             let summary = self.collector.scope(order::SUMMARY, None);
             summary.counter(names::FM_RESTARTS, self.restarts as u64);
-            summary.counter(names::FM_PASSES, total_passes);
+            summary.counter(names::FM_PASSES, scratch.take_work().passes);
             if let Some((cut, _)) = &best {
                 summary.counter(names::FM_BEST_CUT, *cut);
             }
@@ -177,6 +160,7 @@ mod tests {
     use super::*;
     use crate::Exhaustive;
     use fhp_core::metrics;
+    use fhp_core::moves::MoveState;
     use fhp_hypergraph::intersection::paper_example;
     use fhp_hypergraph::{HypergraphBuilder, VertexId};
 
@@ -256,19 +240,6 @@ mod tests {
         let a = FiducciaMattheyses::new(3).bipartition(&h).unwrap();
         let b = FiducciaMattheyses::new(3).bipartition(&h).unwrap();
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn counted_passes_match_run_passes() {
-        let h = paper_example();
-        let fm = FiducciaMattheyses::new(7);
-        let tol = fm.effective_tolerance(&h);
-        let mut rng = StdRng::seed_from_u64(7);
-        let start = random_balanced_start(&h, &mut rng);
-        let plain = fm.refiner.run_passes(&h, start.clone(), tol);
-        let (counted, passes) = fm.run_passes_counted(&h, start, tol);
-        assert_eq!(plain, counted);
-        assert!(passes >= 1);
     }
 
     #[test]

@@ -8,7 +8,12 @@
 //! - on every instance timed here the multilevel cut is never worse than
 //!   the flat cut at the same seed — the flat guard makes this hold by
 //!   construction, and the bench re-checks it end to end;
-//! - the V-cycle outcome is bit-identical across 1/2/8 worker threads.
+//! - the V-cycle outcome is bit-identical across 1/2/8 worker threads;
+//! - FM's gain-cache updates, summed over every refinement of a traced
+//!   V-cycle run, stay within Σ over moved `v` of Σ over `v`'s nets of
+//!   `|e|` — the critical-net refresh bound. The counts are recorded per
+//!   instance as `ml_fm_moves`, `ml_fm_gain_updates` and
+//!   `ml_fm_move_pins`.
 //!
 //! Smoke mode times one sample of the smallest circuit size plus a
 //! reduced hub instance so CI stays fast; the full run
@@ -19,8 +24,10 @@ use std::fmt::Write as _;
 use std::time::Instant;
 
 use fhp_bench::{bench_instance, hub_instance, SIZES};
+use fhp_core::refine::FmWork;
 use fhp_core::{Algorithm1, MultilevelConfig, MultilevelStats, PartitionConfig};
 use fhp_hypergraph::Hypergraph;
+use fhp_obs::{counter_total, names, Collector};
 
 const SEED: u64 = 42;
 const HUB_MODULES: usize = 8;
@@ -36,6 +43,24 @@ struct Row {
     ml_levels: usize,
     ml_coarsest_size: usize,
     ml_used_flat_guard: bool,
+    fm: FmWork,
+}
+
+/// Runs the config once with tracing on and sums the FM work counters
+/// over its refinements (the trace carries no pass count).
+fn traced_fm_work(h: &Hypergraph, config: PartitionConfig) -> FmWork {
+    let collector = Collector::enabled();
+    Algorithm1::new(config)
+        .collector(collector.clone())
+        .run(h)
+        .expect("bench instance partitions");
+    let events = collector.snapshot();
+    FmWork {
+        moves: counter_total(&events, names::ML_FM_MOVES),
+        gain_updates: counter_total(&events, names::ML_FM_GAIN_UPDATES),
+        move_pins: counter_total(&events, names::ML_FM_MOVE_PINS),
+        ..FmWork::default()
+    }
 }
 
 fn median_ns(samples: &mut [u128]) -> u128 {
@@ -108,18 +133,29 @@ fn main() {
         let (flat_ns, flat_cut, _) = time_runs(h, flat_config, samples);
         let (ml_ns, ml_cut, ml_stats) = time_runs(h, ml_config, samples);
         let ml_stats = ml_stats.expect("multilevel mode records stats");
+        let fm = traced_fm_work(h, ml_config);
+        assert!(
+            fm.gain_updates <= fm.move_pins,
+            "acceptance: {} FM gain updates exceed the refresh bound {} on {name}",
+            fm.gain_updates,
+            fm.move_pins
+        );
         assert!(
             ml_cut <= flat_cut,
             "acceptance: multilevel cut {ml_cut} must not exceed flat cut {flat_cut} on {name}"
         );
         println!(
             "multilevel/{name}: flat cut {flat_cut} in {:.2} ms, v-cycle cut {ml_cut} in \
-             {:.2} ms ({} level(s), coarsest {}, guard {})",
+             {:.2} ms ({} level(s), coarsest {}, guard {}; {} FM moves, {} gain updates \
+             <= bound {})",
             flat_ns as f64 / 1e6,
             ml_ns as f64 / 1e6,
             ml_stats.levels,
             ml_stats.level_sizes.last().copied().unwrap_or(0),
             ml_stats.used_flat_guard,
+            fm.moves,
+            fm.gain_updates,
+            fm.move_pins,
         );
         rows.push(Row {
             name: name.clone(),
@@ -132,6 +168,7 @@ fn main() {
             ml_levels: ml_stats.levels,
             ml_coarsest_size: ml_stats.level_sizes.last().copied().unwrap_or(0),
             ml_used_flat_guard: ml_stats.used_flat_guard,
+            fm,
         });
     }
 
@@ -148,7 +185,8 @@ fn main() {
             json,
             "    {{\"name\": \"{}\", \"modules\": {}, \"signals\": {}, \
              \"flat_cut\": {}, \"flat_wall_ns\": {}, \"ml_cut\": {}, \"ml_wall_ns\": {}, \
-             \"ml_levels\": {}, \"ml_coarsest_size\": {}, \"ml_used_flat_guard\": {}}}{comma}",
+             \"ml_levels\": {}, \"ml_coarsest_size\": {}, \"ml_used_flat_guard\": {}, \
+             \"ml_fm_moves\": {}, \"ml_fm_gain_updates\": {}, \"ml_fm_move_pins\": {}}}{comma}",
             r.name,
             r.modules,
             r.signals,
@@ -159,6 +197,9 @@ fn main() {
             r.ml_levels,
             r.ml_coarsest_size,
             r.ml_used_flat_guard,
+            r.fm.moves,
+            r.fm.gain_updates,
+            r.fm.move_pins,
         );
     }
     json.push_str("  ]\n}\n");

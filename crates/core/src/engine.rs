@@ -40,6 +40,7 @@ use fhp_hypergraph::{DynamicNetlist, Hypergraph, IncrementalError, VertexId};
 use fhp_obs::{Gauge, Progress};
 
 use crate::error::PartitionError;
+use crate::moves::gain_term;
 use crate::{Algorithm1, PartitionConfig, Side};
 
 /// One structural edit of the live netlist. Ids are the engine's stable
@@ -871,22 +872,13 @@ impl Derived {
     /// out of a one-sided net cuts it. O(incident nets) from the side
     /// counts.
     fn flip_gain(&self, nl: &DynamicNetlist, nets: &[u32], side: Side) -> i64 {
-        let mut gain = 0i64;
-        for &e in nets {
-            let mut counts = self.pins_on.get(e as usize).copied().unwrap_or([0; 2]);
-            let pins = counts.iter().sum::<u32>();
-            if pins < 2 {
-                continue;
-            }
-            let same = *on_side(&mut counts, side);
-            let w = nl.net_weight(e).unwrap_or(0) as i64; // fhp-audit: allow(as-cast-truncation) — net weights are far below i64::MAX
-            if same == pins {
-                gain -= w; // was uncut, the move cuts it
-            } else if same == 1 {
-                gain += w; // the lone pin on its side: the move uncuts it
-            }
-        }
-        gain
+        nets.iter()
+            .map(|&e| {
+                let counts = self.pins_on.get(e as usize).copied().unwrap_or([0; 2]);
+                let w = nl.net_weight(e).unwrap_or(0) as i64; // fhp-audit: allow(as-cast-truncation) — net weights are far below i64::MAX
+                gain_term(counts, side, w)
+            })
+            .sum()
     }
 }
 

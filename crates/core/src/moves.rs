@@ -105,21 +105,12 @@ impl<'a> MoveState<'a> {
     /// The FM *gain* of moving `v` to the other side: the decrease in
     /// weighted cut (positive gain = improvement). `O(deg(v))`.
     pub fn gain(&self, v: VertexId) -> i64 {
-        let from = self.bp.side(v).index();
-        let to = 1 - from;
-        let mut gain = 0i64;
-        for &e in self.h.edges_of(v) {
-            let w = self.h.edge_weight(e) as i64;
-            let c = self.counts[e.index()]; // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-                                            // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-            if c[from] == 1 && c[to] > 0 {
-                gain += w; // v is the lone pin on its side: edge uncuts
-                           // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-            } else if c[to] == 0 && c[from] > 1 {
-                gain -= w; // edge currently internal: v's move cuts it
-            }
-        }
-        gain
+        let side = self.bp.side(v);
+        self.h
+            .edges_of(v)
+            .iter()
+            .map(|&e| gain_term(self.pin_count(e), side, self.h.edge_weight(e) as i64))
+            .sum()
     }
 
     /// Applies the flip of `v`, updating counts, cut and weights.
@@ -230,6 +221,28 @@ impl<'a> MoveState<'a> {
             });
         }
         Ok(())
+    }
+}
+
+/// Edge `e`'s term in the FM gain of a pin on `side`, from `e`'s pin
+/// counts `[left, right]` and weight `w`: `+w` when the pin is the lone
+/// pin on its side of a cut edge (moving it uncuts `e`), `−w` when `e`
+/// lies wholly on `side` with other pins (moving it cuts `e`), else 0.
+/// [`MoveState::gain`] is the sum of these terms over the pin's edges,
+/// so a flip that changes `e`'s counts from `c0` to `c1` shifts every
+/// other pin's gain by `gain_term(c1, side, w) − gain_term(c0, side, w)`.
+pub(crate) fn gain_term(counts: [u32; 2], side: Side, w: i64) -> i64 {
+    let [left, right] = counts;
+    let (own, other) = match side {
+        Side::Left => (left, right),
+        Side::Right => (right, left),
+    };
+    if own == 1 && other > 0 {
+        w
+    } else if other == 0 && own > 1 {
+        -w
+    } else {
+        0
     }
 }
 

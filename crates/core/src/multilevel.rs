@@ -37,10 +37,10 @@
 
 use fhp_hypergraph::contract::{heavy_pair_clustering, heavy_pair_clustering_within, Contraction};
 use fhp_hypergraph::Hypergraph;
-use fhp_obs::{names, order, Collector, Gauge, Progress};
+use fhp_obs::{names, order, Collector, Gauge, Progress, Scope};
 
 use crate::metrics::{self, CutReport, Objective};
-use crate::refine::{FmRefiner, FmScratch};
+use crate::refine::{FmRefiner, FmScratch, FmWork};
 use crate::{
     Algorithm1, Bipartition, Bipartitioner, PartitionConfig, PartitionError, PartitionOutcome, Side,
 };
@@ -333,6 +333,7 @@ pub(crate) fn run_vcycle(
     let mut bp = refiner.refine_with(&current, coarse_out.bipartition, &mut fm);
     drop(span);
     let coarsest_cut = metrics::cut_size(&current, &bp);
+    record_fm_work(&scope, fm.take_work());
     scope.counter(names::ML_COARSEST_CUT, coarsest_cut as u64);
     collector.adopt(scope.finish());
 
@@ -348,6 +349,7 @@ pub(crate) fn run_vcycle(
         drop(span);
         let cut = metrics::cut_size(fine, &bp);
         scope.counter(names::ML_LEVEL_SIZE, fine.num_vertices() as u64);
+        record_fm_work(&scope, fm.take_work());
         scope.counter(names::ML_LEVEL_CUT, cut as u64);
         collector.adopt(scope.finish());
         level_partitions.push(bp.clone());
@@ -420,6 +422,13 @@ pub(crate) fn run_vcycle(
         report,
         stats: base_stats,
     })
+}
+
+/// Records one refinement's FM work counters into its scope.
+fn record_fm_work(scope: &Scope, work: FmWork) {
+    scope.counter(names::ML_FM_MOVES, work.moves);
+    scope.counter(names::ML_FM_GAIN_UPDATES, work.gain_updates);
+    scope.counter(names::ML_FM_MOVE_PINS, work.move_pins);
 }
 
 /// One partition-respecting V-cycle: coarsen merging only same-side

@@ -111,6 +111,14 @@ fn trace_carries_the_vcycle_phases_in_order() {
     assert_eq!(count(names::ALG1_BEST_CUT), 1);
     // the flat guard records its cut in the summary
     assert_eq!(count(names::ML_FLAT_GUARD_CUT), 1);
+    // the coarsest polish and every uncoarsening step report their FM work
+    for name in [
+        names::ML_FM_MOVES,
+        names::ML_FM_GAIN_UPDATES,
+        names::ML_FM_MOVE_PINS,
+    ] {
+        assert_eq!(count(name), count(names::ML_REFINE) + 1, "{name}");
+    }
 }
 
 #[test]

@@ -10,9 +10,7 @@
 //! [`heavy_pair_clustering`] provides a simple deterministic clustering
 //! (greedy matching on co-signal affinity) to drive it.
 
-use std::collections::BTreeMap;
-
-use crate::{EdgeId, Hypergraph, HypergraphBuilder, VertexId};
+use crate::{Hypergraph, HypergraphBuilder, VertexId};
 
 /// A contracted hypergraph plus the fine↔coarse correspondence.
 ///
@@ -33,8 +31,6 @@ use crate::{EdgeId, Hypergraph, HypergraphBuilder, VertexId};
 pub struct Contraction {
     coarse: Hypergraph,
     cluster_of: Vec<u32>,
-    /// For each coarse edge, the fine edges merged into it.
-    fine_edges: Vec<Vec<EdgeId>>,
 }
 
 impl Contraction {
@@ -98,43 +94,56 @@ impl Contraction {
             b.add_weighted_vertex(w);
         }
 
-        // Re-pin edges; merge identical coarse pin sets.
-        let mut merged: BTreeMap<Vec<VertexId>, usize> = BTreeMap::new();
-        let mut coarse_edges: Vec<(Vec<VertexId>, u64, Vec<EdgeId>)> = Vec::new();
+        // Re-pin every fine edge into one flat buffer: span `i` holds
+        // surviving edge `i`'s sorted, deduplicated cluster ids.
+        let mut pins: Vec<VertexId> = Vec::with_capacity(h.num_pins());
+        let mut spans: Vec<(usize, usize, u64)> = Vec::with_capacity(h.num_edges());
+        let mut edge_pins: Vec<VertexId> = Vec::new();
         for e in h.edges() {
-            let mut pins: Vec<VertexId> = h
-                .pins(e)
-                .iter()
-                .map(|p| VertexId::new(cluster_of[p.index()] as usize)) // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                .collect();
-            pins.sort_unstable();
-            pins.dedup();
-            if pins.len() < 2 {
+            edge_pins.clear();
+            edge_pins.extend(
+                h.pins(e)
+                    .iter()
+                    .filter_map(|p| cluster_of.get(p.index()))
+                    .map(|&c| VertexId::new(c as usize)),
+            );
+            edge_pins.sort_unstable();
+            edge_pins.dedup();
+            if edge_pins.len() < 2 {
                 continue; // swallowed by a cluster
             }
-            match merged.entry(pins.clone()) {
-                std::collections::btree_map::Entry::Occupied(slot) => {
-                    let idx = *slot.get();
-                    coarse_edges[idx].1 += h.edge_weight(e); // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                    coarse_edges[idx].2.push(e); // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                }
-                std::collections::btree_map::Entry::Vacant(slot) => {
-                    slot.insert(coarse_edges.len());
-                    coarse_edges.push((pins, h.edge_weight(e), vec![e]));
-                }
+            spans.push((pins.len(), pins.len() + edge_pins.len(), h.edge_weight(e)));
+            pins.extend_from_slice(&edge_pins);
+        }
+        let pins_of = |i: usize| -> &[VertexId] {
+            spans
+                .get(i)
+                .and_then(|&(begin, end, _)| pins.get(begin..end))
+                .unwrap_or_default()
+        };
+
+        // Merge identical pin sets: sorted by (pins, index), each run of
+        // equal pin sets starts at its first occurrence, which takes the
+        // run's summed weight; coarse edges keep first-occurrence order.
+        let mut order: Vec<usize> = (0..spans.len()).collect();
+        order.sort_unstable_by(|&x, &y| pins_of(x).cmp(pins_of(y)).then(x.cmp(&y)));
+        let mut merged_weight: Vec<Option<u64>> = vec![None; spans.len()];
+        for run in order.chunk_by(|&x, &y| pins_of(x) == pins_of(y)) {
+            let weight = run.iter().filter_map(|&i| spans.get(i)).map(|s| s.2).sum();
+            if let Some(slot) = run.first().and_then(|&head| merged_weight.get_mut(head)) {
+                *slot = Some(weight);
             }
         }
-        let mut fine_edges = Vec::with_capacity(coarse_edges.len());
-        for (pins, weight, fines) in coarse_edges {
-            b.add_weighted_edge(pins, weight)
-                .map_err(|error| ContractError::Build { error })?;
-            fine_edges.push(fines);
+        for (i, weight) in merged_weight.into_iter().enumerate() {
+            if let Some(weight) = weight {
+                b.add_weighted_edge(pins_of(i).iter().copied(), weight)
+                    .map_err(|error| ContractError::Build { error })?;
+            }
         }
 
         Ok(Self {
             coarse: b.build(),
             cluster_of: cluster_of.to_vec(),
-            fine_edges,
         })
     }
 
@@ -163,15 +172,6 @@ impl Contraction {
     /// golden tests pin the exact coarsening decisions.
     pub fn projection_map(&self) -> &[u32] {
         &self.cluster_of
-    }
-
-    /// The fine edges merged into coarse edge `e`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `e` is out of range.
-    pub fn fine_edges(&self, e: EdgeId) -> &[EdgeId] {
-        &self.fine_edges[e.index()] // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
     }
 
     /// Expands a per-coarse-vertex labelling to the fine vertices.
@@ -267,15 +267,19 @@ fn pair_clustering(
     can_pair: &dyn Fn(VertexId, VertexId) -> bool,
 ) -> Vec<u32> {
     const UNMATCHED: u32 = u32::MAX;
-    let mut cluster_of = vec![UNMATCHED; h.num_vertices()];
+    let n = h.num_vertices();
+    let mut cluster_of = vec![UNMATCHED; n];
     let mut next = 0u32;
-    let mut affinity: BTreeMap<VertexId, f64> = BTreeMap::new();
+    // v's affinity to each candidate partner: dense, with the candidates
+    // listed in `touched` and flagged in `is_touched` (a zero-weight net
+    // rates 0.0, so a zero affinity still marks a candidate).
+    let mut affinity = vec![0.0f64; n];
+    let mut is_touched = vec![false; n];
+    let mut touched: Vec<VertexId> = Vec::new();
     for v in h.vertices() {
-        // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-        if cluster_of[v.index()] != UNMATCHED {
+        if cluster_of.get(v.index()) != Some(&UNMATCHED) {
             continue;
         }
-        affinity.clear();
         for &e in h.edges_of(v) {
             let size = h.edge_size(e);
             if size < 2 {
@@ -283,23 +287,39 @@ fn pair_clustering(
             }
             let rating = h.edge_weight(e) as f64 / (size - 1) as f64;
             for &u in h.pins(e) {
-                // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-                if u != v && cluster_of[u.index()] == UNMATCHED && can_pair(v, u) {
-                    *affinity.entry(u).or_insert(0.0) += rating;
+                if u == v || cluster_of.get(u.index()) != Some(&UNMATCHED) || !can_pair(v, u) {
+                    continue;
+                }
+                if let (Some(a), Some(t)) =
+                    (affinity.get_mut(u.index()), is_touched.get_mut(u.index()))
+                {
+                    if !*t {
+                        *t = true;
+                        *a = 0.0;
+                        touched.push(u);
+                    }
+                    *a += rating;
                 }
             }
         }
-        let partner = affinity
+        let partner = touched
             .iter()
-            .filter(|(u, _)| h.vertex_weight(**u) + h.vertex_weight(v) <= max_cluster_weight)
+            .filter(|u| h.vertex_weight(**u) + h.vertex_weight(v) <= max_cluster_weight)
+            .map(|&u| (u, affinity.get(u.index()).copied().unwrap_or(0.0)))
             .max_by(|a, b| {
                 // fhp-audit: allow(float-in-ordering) — ratings are sums accumulated in pin order; bitwise deterministic
-                a.1.total_cmp(b.1).then(b.0.cmp(a.0)) // deterministic tie-break: lowest id
+                a.1.total_cmp(&b.1).then(b.0.cmp(&a.0)) // deterministic tie-break: lowest id
             })
-            .map(|(&u, _)| u);
-        cluster_of[v.index()] = next; // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
-        if let Some(u) = partner {
-            cluster_of[u.index()] = next; // fhp-audit: allow(panic-site) — coarse ids minted densely by the contraction map; in-range by construction
+            .map(|(u, _)| u);
+        for u in touched.drain(..) {
+            if let Some(t) = is_touched.get_mut(u.index()) {
+                *t = false;
+            }
+        }
+        for member in std::iter::once(v).chain(partner) {
+            if let Some(slot) = cluster_of.get_mut(member.index()) {
+                *slot = next;
+            }
         }
         next += 1;
     }
@@ -357,6 +377,9 @@ impl std::error::Error for ContractError {
 mod tests {
     use super::*;
     use crate::intersection::paper_example;
+    use crate::EdgeId;
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
 
     #[test]
     fn contraction_preserves_weight() {
@@ -374,9 +397,17 @@ mod tests {
         // everything in one cluster except module 12 (index 11)
         let clusters: Vec<u32> = (0..12).map(|i| u32::from(i == 11)).collect();
         let c = Contraction::contract(&h, &clusters);
-        // only signal c = {1,3,4,12} touches module 12
+        // only signal c = {1,3,4,12} touches module 12, so it alone
+        // spans both clusters; every other signal vanishes
+        let spanning: Vec<EdgeId> = h
+            .edges()
+            .filter(|&e| h.pins(e).iter().any(|p| p.index() == 11))
+            .collect();
+        assert_eq!(spanning, [EdgeId::new(2)]);
         assert_eq!(c.coarse().num_edges(), 1);
-        assert_eq!(c.fine_edges(EdgeId::new(0)), &[EdgeId::new(2)]);
+        let e = EdgeId::new(0);
+        assert_eq!(c.coarse().pins(e), &[VertexId::new(0), VertexId::new(1)]);
+        assert_eq!(c.coarse().edge_weight(e), h.edge_weight(EdgeId::new(2)));
     }
 
     #[test]
@@ -390,8 +421,10 @@ mod tests {
         // clusters {0,1} and {2,3}: both edges become {c0, c1}
         let c = Contraction::contract(&h, &[0, 0, 1, 1]);
         assert_eq!(c.coarse().num_edges(), 1);
-        assert_eq!(c.coarse().edge_weight(EdgeId::new(0)), 5);
-        assert_eq!(c.fine_edges(EdgeId::new(0)).len(), 2);
+        let e = EdgeId::new(0);
+        assert_eq!(c.coarse().pins(e), &[VertexId::new(0), VertexId::new(1)]);
+        // 2 + 3: both fine edges merged into the one coarse edge
+        assert_eq!(c.coarse().edge_weight(e), 5);
     }
 
     #[test]
@@ -528,6 +561,146 @@ mod tests {
             heavy_pair_clustering_within(&h, 4, &uniform),
             heavy_pair_clustering(&h, 4)
         );
+    }
+
+    /// The contraction this module shipped before the flat re-pinned
+    /// buffer: one `BTreeMap` entry per distinct coarse pin set, keyed by
+    /// a freshly allocated pin vector per fine edge.
+    fn reference_contract(h: &Hypergraph, cluster_of: &[u32]) -> Hypergraph {
+        let k = cluster_of
+            .iter()
+            .map(|&c| c as usize + 1)
+            .max()
+            .unwrap_or(0);
+        let mut b = HypergraphBuilder::new();
+        let mut weights = vec![0u64; k];
+        for v in h.vertices() {
+            weights[cluster_of[v.index()] as usize] += h.vertex_weight(v);
+        }
+        for w in weights {
+            b.add_weighted_vertex(w);
+        }
+        let mut merged: BTreeMap<Vec<VertexId>, usize> = BTreeMap::new();
+        let mut coarse_edges: Vec<(Vec<VertexId>, u64)> = Vec::new();
+        for e in h.edges() {
+            let mut pins: Vec<VertexId> = h
+                .pins(e)
+                .iter()
+                .map(|p| VertexId::new(cluster_of[p.index()] as usize))
+                .collect();
+            pins.sort_unstable();
+            pins.dedup();
+            if pins.len() < 2 {
+                continue;
+            }
+            match merged.entry(pins.clone()) {
+                Entry::Occupied(slot) => coarse_edges[*slot.get()].1 += h.edge_weight(e),
+                Entry::Vacant(slot) => {
+                    slot.insert(coarse_edges.len());
+                    coarse_edges.push((pins, h.edge_weight(e)));
+                }
+            }
+        }
+        for (pins, weight) in coarse_edges {
+            b.add_weighted_edge(pins, weight).unwrap();
+        }
+        b.build()
+    }
+
+    /// The greedy matching this module shipped before the dense affinity
+    /// array: per vertex, a `BTreeMap` from candidate partner to affinity.
+    fn reference_clustering(
+        h: &Hypergraph,
+        max_cluster_weight: u64,
+        can_pair: &dyn Fn(VertexId, VertexId) -> bool,
+    ) -> Vec<u32> {
+        const UNMATCHED: u32 = u32::MAX;
+        let mut cluster_of = vec![UNMATCHED; h.num_vertices()];
+        let mut next = 0u32;
+        let mut affinity: BTreeMap<VertexId, f64> = BTreeMap::new();
+        for v in h.vertices() {
+            if cluster_of[v.index()] != UNMATCHED {
+                continue;
+            }
+            affinity.clear();
+            for &e in h.edges_of(v) {
+                let size = h.edge_size(e);
+                if size < 2 {
+                    continue;
+                }
+                let rating = h.edge_weight(e) as f64 / (size - 1) as f64;
+                for &u in h.pins(e) {
+                    if u != v && cluster_of[u.index()] == UNMATCHED && can_pair(v, u) {
+                        *affinity.entry(u).or_insert(0.0) += rating;
+                    }
+                }
+            }
+            let partner = affinity
+                .iter()
+                .filter(|(u, _)| h.vertex_weight(**u) + h.vertex_weight(v) <= max_cluster_weight)
+                .max_by(|a, b| a.1.total_cmp(b.1).then(b.0.cmp(a.0)))
+                .map(|(&u, _)| u);
+            cluster_of[v.index()] = next;
+            if let Some(u) = partner {
+                cluster_of[u.index()] = next;
+            }
+            next += 1;
+        }
+        cluster_of
+    }
+
+    proptest::prop_compose! {
+        /// A small hypergraph with weighted vertices, weighted edges
+        /// (weight 0 included), duplicated pin sets and 1-pin nets, plus a
+        /// two-group labelling and a cluster weight cap.
+        fn arb_instance()(
+            vertex_weights in proptest::collection::vec(1u64..5, 1..24),
+            edges in proptest::collection::vec(
+                (proptest::collection::vec(0usize..24, 1..7), 0u64..4),
+                0..48,
+            ),
+            duplicates in proptest::collection::vec((0usize..48, 0u64..4), 0..10),
+            groups in proptest::collection::vec(0u32..2, 24),
+            cap in 1u64..10,
+        ) -> (Hypergraph, Vec<u32>, u64) {
+            let n = vertex_weights.len();
+            let mut b = HypergraphBuilder::new();
+            for &w in &vertex_weights {
+                b.add_weighted_vertex(w);
+            }
+            let pin_sets: Vec<Vec<VertexId>> = edges
+                .iter()
+                .map(|(pins, _)| pins.iter().map(|&p| VertexId::new(p % n)).collect())
+                .collect();
+            for (pins, (_, w)) in pin_sets.iter().zip(&edges) {
+                b.add_weighted_edge(pins.iter().copied(), *w).unwrap();
+            }
+            for &(i, w) in duplicates.iter().filter(|_| !pin_sets.is_empty()) {
+                b.add_weighted_edge(pin_sets[i % pin_sets.len()].iter().copied(), w).unwrap();
+            }
+            (b.build(), groups[..n].to_vec(), cap)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn kernels_match_the_btreemap_references((h, groups, cap) in arb_instance()) {
+            let free = heavy_pair_clustering(&h, cap);
+            proptest::prop_assert_eq!(&free, &reference_clustering(&h, cap, &|_, _| true));
+            let within = heavy_pair_clustering_within(&h, cap, &groups);
+            let same_group = |v: VertexId, u: VertexId| groups[v.index()] == groups[u.index()];
+            proptest::prop_assert_eq!(&within, &reference_clustering(&h, cap, &same_group));
+            for clusters in [free, within] {
+                let c = Contraction::contract(&h, &clusters);
+                proptest::prop_assert_eq!(c.coarse(), &reference_contract(&h, &clusters));
+            }
+            // a coarser, arbitrary map too: many edges merge or vanish
+            let thirds: Vec<u32> = (0..h.num_vertices()).map(|i| (i / 3) as u32).collect();
+            let c = Contraction::contract(&h, &thirds);
+            proptest::prop_assert_eq!(c.coarse(), &reference_contract(&h, &thirds));
+        }
     }
 
     #[test]

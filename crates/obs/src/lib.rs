@@ -180,6 +180,16 @@ pub mod names {
     pub const ML_LEVEL_EDGES: &str = "ml.level_edges";
     /// Counter: cut size after refining a level on the way back up.
     pub const ML_LEVEL_CUT: &str = "ml.level_cut";
+    /// Counter: FM vertex moves of one refinement (rolled-back moves
+    /// included).
+    pub const ML_FM_MOVES: &str = "ml.fm_moves";
+    /// Counter: FM gain-cache updates of one refinement — one per free
+    /// pin of a moved vertex's net whose gain term the move changed.
+    pub const ML_FM_GAIN_UPDATES: &str = "ml.fm_gain_updates";
+    /// Counter: Σ over the moved vertices `v` of one refinement of Σ over
+    /// `v`'s nets of the net size — the bound `ml.fm_gain_updates` stays
+    /// under.
+    pub const ML_FM_MOVE_PINS: &str = "ml.fm_move_pins";
     /// Counter: cut size of the refined coarsest-level partition.
     pub const ML_COARSEST_CUT: &str = "ml.coarsest_cut";
     /// Counter: coarsening levels the V-cycle built.
