@@ -13,7 +13,7 @@
 //! is for quick runs.
 
 use fhp_core::moves::{random_balanced_start, MoveState};
-use fhp_core::{Bipartition, Bipartitioner, PartitionError};
+use fhp_core::{balance, Bipartition, Bipartitioner, PartitionError};
 use fhp_hypergraph::{Hypergraph, VertexId};
 use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
@@ -80,18 +80,6 @@ impl SimulatedAnnealing {
         }
     }
 
-    /// Sets the moves-per-temperature multiplier.
-    pub fn moves_factor(mut self, factor: usize) -> Self {
-        self.moves_factor = factor.max(1);
-        self
-    }
-
-    /// Sets the geometric cooling ratio (clamped to `(0, 1)`).
-    pub fn alpha(mut self, alpha: f64) -> Self {
-        self.alpha = alpha.clamp(0.01, 0.999);
-        self
-    }
-
     /// Sets the weight-imbalance tolerance.
     pub fn imbalance_tolerance(mut self, tolerance: u64) -> Self {
         self.imbalance_tolerance = tolerance;
@@ -105,11 +93,6 @@ impl SimulatedAnnealing {
     pub fn collector(mut self, collector: Collector) -> Self {
         self.collector = collector;
         self
-    }
-
-    fn effective_tolerance(&self, h: &Hypergraph) -> u64 {
-        let heaviest = h.vertices().map(|v| h.vertex_weight(v)).max().unwrap_or(1);
-        self.imbalance_tolerance.max(2 * heaviest)
     }
 
     /// Calibrates T₀ so `initial_acceptance` of uphill moves pass:
@@ -139,7 +122,8 @@ impl Bipartitioner for SimulatedAnnealing {
         if n < 2 {
             return Err(PartitionError::TooFewVertices { found: n });
         }
-        let tolerance = self.effective_tolerance(h);
+        let heaviest = h.vertices().map(|v| h.vertex_weight(v)).max().unwrap_or(1);
+        let tolerance = balance::floor(self.imbalance_tolerance, heaviest);
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut st = MoveState::new(h, random_balanced_start(h, &mut rng));
         let initial_temp = self.initial_temperature(&st, &mut rng);
@@ -168,12 +152,8 @@ impl Bipartitioner for SimulatedAnnealing {
                 let v = VertexId::new(rng.gen_range(0..n));
                 // Balance feasibility.
                 let (wl, wr) = st.side_weights();
-                let vw = h.vertex_weight(v) as i64;
-                let imb_after = match st.side(v) {
-                    fhp_core::Side::Left => (wl as i64 - vw) - (wr as i64 + vw),
-                    fhp_core::Side::Right => (wl as i64 + vw) - (wr as i64 - vw),
-                };
-                if imb_after.unsigned_abs() > tolerance {
+                if balance::imbalance_after_move(wl, wr, h.vertex_weight(v), st.side(v)) > tolerance
+                {
                     continue;
                 }
                 let delta = -st.gain(v); // ΔE; negative is downhill
@@ -251,7 +231,8 @@ mod tests {
         let h = paper_example();
         let sa = SimulatedAnnealing::fast(0);
         let bp = sa.bipartition(&h).unwrap();
-        assert!(metrics::weight_imbalance(&h, &bp) <= sa.effective_tolerance(&h));
+        // unit weights: the floor is twice the heaviest vertex
+        assert!(metrics::weight_imbalance(&h, &bp) <= balance::floor(0, 1));
         assert!(bp.is_valid_cut());
     }
 
@@ -291,13 +272,6 @@ mod tests {
             metrics::weighted_cut(&h, &bp)
         );
         assert!(events.iter().any(|e| e.name == fhp_obs::names::SA_WALK));
-    }
-
-    #[test]
-    fn builders_clamp() {
-        let sa = SimulatedAnnealing::fast(0).alpha(5.0).moves_factor(0);
-        assert!(sa.alpha <= 0.999);
-        assert_eq!(sa.moves_factor, 1);
     }
 
     #[test]

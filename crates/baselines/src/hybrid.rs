@@ -63,12 +63,6 @@ impl Refined {
     pub fn alg1(config: PartitionConfig, seed: u64) -> Self {
         Self::new(Box::new(Algorithm1::new(config.seed(seed))), seed)
     }
-
-    /// Overrides the refinement stage's configuration.
-    pub fn fm(mut self, fm: FiducciaMattheyses) -> Self {
-        self.fm = fm;
-        self
-    }
 }
 
 impl Bipartitioner for Refined {
@@ -141,8 +135,7 @@ mod tests {
     fn name_reflects_composition() {
         let p = Refined::alg1(PartitionConfig::new(), 0);
         assert_eq!(p.name(), "Alg I + FM");
-        let q = Refined::new(Box::new(RandomCut::balanced(0)), 0)
-            .fm(FiducciaMattheyses::new(0).max_passes(2));
+        let q = Refined::new(Box::new(RandomCut::balanced(0)), 0);
         assert_eq!(q.name(), "Random (balanced) + FM");
     }
 

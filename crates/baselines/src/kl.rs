@@ -20,6 +20,10 @@ use fhp_obs::{names, order, Collector};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
+/// Number of top-`D` vertices per side whose pairings are evaluated
+/// exactly at each step (the 1970 paper's sorted-scan shortcut).
+const CANDIDATES_PER_SIDE: usize = 8;
+
 /// Kernighan–Lin min-cut bipartitioner (the paper's "MinCut-KL" column).
 ///
 /// # Examples
@@ -40,7 +44,6 @@ use rand::SeedableRng;
 pub struct KernighanLin {
     seed: u64,
     max_passes: usize,
-    candidates_per_side: usize,
     restarts: usize,
     collector: Collector,
 }
@@ -52,7 +55,6 @@ impl KernighanLin {
         Self {
             seed,
             max_passes: 16,
-            candidates_per_side: 8,
             restarts: 1,
             collector: Collector::disabled(),
         }
@@ -61,14 +63,6 @@ impl KernighanLin {
     /// Limits the number of improvement passes (default 16).
     pub fn max_passes(mut self, passes: usize) -> Self {
         self.max_passes = passes;
-        self
-    }
-
-    /// Number of top-`D` vertices per side whose pairings are evaluated
-    /// exactly at each step (default 8; the 1970 paper's sorted-scan
-    /// shortcut).
-    pub fn candidates_per_side(mut self, k: usize) -> Self {
-        self.candidates_per_side = k.max(1);
         self
     }
 
@@ -119,8 +113,8 @@ impl KernighanLin {
             }
             left.sort_by_key(|v| std::cmp::Reverse(gains[v.index()]));
             right.sort_by_key(|v| std::cmp::Reverse(gains[v.index()]));
-            left.truncate(self.candidates_per_side);
-            right.truncate(self.candidates_per_side);
+            left.truncate(CANDIDATES_PER_SIDE);
+            right.truncate(CANDIDATES_PER_SIDE);
 
             let mut best: Option<(i64, VertexId, VertexId)> = None;
             for &a in &left {
@@ -330,10 +324,7 @@ mod tests {
     #[test]
     fn restarts_and_builders() {
         let h = barbell(4);
-        let kl = KernighanLin::new(2)
-            .max_passes(4)
-            .candidates_per_side(3)
-            .restarts(2);
+        let kl = KernighanLin::new(2).max_passes(4).restarts(2);
         let bp = kl.bipartition(&h).unwrap();
         assert!(bp.is_valid_cut());
         assert_eq!(kl.name(), "MinCut-KL");

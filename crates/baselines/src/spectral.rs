@@ -34,41 +34,21 @@ use fhp_hypergraph::{Hypergraph, VertexId};
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Clone, Copy, Debug)]
-pub struct SpectralBisection {
-    iterations: usize,
-    /// Sweep positions are restricted to splits whose smaller side holds at
-    /// least this fraction of the vertices (0 = unconstrained min cut).
-    min_side_fraction: f64,
-}
+#[derive(Clone, Copy, Debug, Default)]
+pub struct SpectralBisection;
 
-impl Default for SpectralBisection {
-    fn default() -> Self {
-        Self::new()
-    }
-}
+/// Power iterations towards the Fiedler vector.
+const ITERATIONS: usize = 300;
+
+/// Sweep positions are restricted to splits whose smaller side holds at
+/// least this fraction of the vertices.
+const MIN_SIDE_FRACTION: f64 = 0.25;
 
 impl SpectralBisection {
     /// Spectral bisection with 300 power iterations and a 1/4 minimum side
     /// fraction.
     pub fn new() -> Self {
-        Self {
-            iterations: 300,
-            min_side_fraction: 0.25,
-        }
-    }
-
-    /// Sets the power-iteration count (more = tighter eigenvector).
-    pub fn iterations(mut self, iterations: usize) -> Self {
-        self.iterations = iterations.max(10);
-        self
-    }
-
-    /// Restricts the sweep to splits whose smaller side has at least this
-    /// fraction of vertices (clamped to `[0, 0.5]`).
-    pub fn min_side_fraction(mut self, fraction: f64) -> Self {
-        self.min_side_fraction = fraction.clamp(0.0, 0.5);
-        self
+        Self
     }
 
     /// One Laplacian matvec of the clique expansion: for each hyperedge,
@@ -115,7 +95,7 @@ impl SpectralBisection {
             })
             .collect();
         let mut lx = vec![0.0; n];
-        for _ in 0..self.iterations {
+        for _ in 0..ITERATIONS {
             // deflate: x ← x − mean(x)
             let mean = x.iter().sum::<f64>() / n as f64;
             for v in x.iter_mut() {
@@ -159,7 +139,7 @@ impl Bipartitioner for SpectralBisection {
         let bp = Bipartition::from_fn(n, |_| Side::Right);
         let mut counts = metrics::pin_counts(h, &bp);
         let mut cut = 0i64;
-        let min_side = ((n as f64) * self.min_side_fraction).floor() as usize;
+        let min_side = ((n as f64) * MIN_SIDE_FRACTION).floor() as usize;
         let lo = min_side.max(1);
         let hi = n - min_side.max(1);
         let mut best: Option<(i64, usize)> = None;
@@ -239,12 +219,9 @@ mod tests {
     #[test]
     fn respects_side_fraction() {
         let h = barbell(8);
-        let bp = SpectralBisection::new()
-            .min_side_fraction(0.4)
-            .bipartition(&h)
-            .unwrap();
+        let bp = SpectralBisection::new().bipartition(&h).unwrap();
         let (l, r) = bp.counts();
-        assert!(l.min(r) >= 6);
+        assert!(l.min(r) >= 4);
     }
 
     #[test]

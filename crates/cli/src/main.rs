@@ -696,10 +696,7 @@ fn print_stats(stats: &fhp_core::RunStats) {
         line("ml_level_cuts", join(&ml.level_cuts));
         line("ml_vcycles", ml.vcycles.to_string());
         line("ml_cycle_cuts", join(&ml.cycle_cuts));
-        line(
-            "ml_flat_cut",
-            ml.flat_cut.map_or("none".to_string(), |c| c.to_string()),
-        );
+        line("ml_flat_cut", ml.flat_cut.to_string());
         line("ml_used_flat_guard", ml.used_flat_guard.to_string());
     }
 }

@@ -460,6 +460,35 @@ fn reads_netlist_and_hgr_files() {
 }
 
 #[test]
+fn a_heavy_module_does_not_wrap_the_balance_floor() {
+    // module 1 weighs 2^63, so twice the heaviest overflows u64: the
+    // balance floor must saturate, since a floor wrapped to 0 freezes FM
+    // and SA at their start (cut 3) while KL and Algorithm I cut 1
+    let hg = std::env::temp_dir().join("fhp_cli_heavy_module.hgr");
+    std::fs::write(&hg, "3 4 10\n1 2\n2 3\n3 4\n9223372036854775808\n1\n1\n1\n").unwrap();
+    for alg in ["fm", "sa", "kl", "alg1"] {
+        let (stdout, stderr, ok) = run(&[hg.to_str().unwrap(), "-a", alg, "-q"]);
+        assert!(ok, "{alg}: {stderr}");
+        assert_eq!(stdout.trim(), "1", "{alg}");
+    }
+}
+
+#[test]
+fn weight_totals_past_u64_are_a_typed_parse_error() {
+    let hg = std::env::temp_dir().join("fhp_cli_weight_overflow.hgr");
+    let w = "9223372036854775808";
+    std::fs::write(&hg, format!("2 3 10\n1 2\n2 3\n{w}\n{w}\n{w}\n")).unwrap();
+    for extra in [&["--multilevel", "--coarse-size", "2"][..], &[]] {
+        let mut args = vec![hg.to_str().unwrap()];
+        args.extend_from_slice(extra);
+        let (stdout, stderr, ok) = run(&args);
+        assert!(!ok, "{extra:?}: {stdout}");
+        assert!(stderr.contains("weights sum past u64::MAX"), "{stderr}");
+        assert!(!stderr.contains("panicked"), "{stderr}");
+    }
+}
+
+#[test]
 fn check_flag_verifies_two_way_and_multiway_runs() {
     let (stdout, stderr, ok) = run(&["--demo", "--check"]);
     assert!(ok, "{stderr}");

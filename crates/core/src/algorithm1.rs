@@ -67,7 +67,7 @@ pub trait Bipartitioner {
 ///     .edge_size_threshold(Some(10))
 ///     .completion(CompletionStrategy::EngineerWeighted)
 ///     .objective(Objective::QuotientCut);
-/// assert_eq!(config.starts_count(), 50);
+/// assert_eq!(config.seed_value(), 7);
 /// ```
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct PartitionConfig {
@@ -195,11 +195,6 @@ impl PartitionConfig {
         self.front_policy
     }
 
-    /// The configured number of starts.
-    pub fn starts_count(&self) -> usize {
-        self.starts
-    }
-
     /// The configured thread count (`0` means auto).
     pub fn threads_value(&self) -> usize {
         self.threads
@@ -213,11 +208,6 @@ impl PartitionConfig {
     /// The configured edge-size threshold.
     pub fn threshold_value(&self) -> Option<usize> {
         self.edge_size_threshold
-    }
-
-    /// The configured completion strategy.
-    pub fn completion_strategy(&self) -> CompletionStrategy {
-        self.completion
     }
 
     /// The configured objective.
@@ -1196,11 +1186,9 @@ mod tests {
     #[test]
     fn config_accessors() {
         let c = PartitionConfig::paper().seed(3).threads(4);
-        assert_eq!(c.starts_count(), 50);
         assert_eq!(c.seed_value(), 3);
         assert_eq!(c.threads_value(), 4);
         assert_eq!(c.threshold_value(), Some(10));
-        assert_eq!(c.completion_strategy(), CompletionStrategy::MinDegree);
         assert_eq!(c.objective_value(), Objective::CutSize);
     }
 

@@ -38,8 +38,6 @@ use crate::Side;
 #[derive(Clone, Debug, Default)]
 pub struct GraphCut {
     side_of: Vec<Side>,
-    left_seed: u32,
-    right_seed: u32,
 }
 
 impl GraphCut {
@@ -52,16 +50,6 @@ impl GraphCut {
     /// The per-vertex side slice.
     pub fn sides(&self) -> &[Side] {
         &self.side_of
-    }
-
-    /// The left front's seed vertex.
-    pub fn left_seed(&self) -> u32 {
-        self.left_seed
-    }
-
-    /// The right front's seed vertex.
-    pub fn right_seed(&self) -> u32 {
-        self.right_seed
     }
 
     /// Number of vertices labelled.
@@ -168,8 +156,6 @@ impl TwoFrontScratch {
             stack: Vec::with_capacity(n),
             cut: GraphCut {
                 side_of: Vec::with_capacity(n),
-                left_seed: 0,
-                right_seed: 0,
             },
         }
     }
@@ -297,8 +283,6 @@ impl TwoFrontScratch {
                 .iter()
                 .map(|&o| if o == 0 { Side::Left } else { Side::Right }),
         );
-        self.cut.left_seed = u;
-        self.cut.right_seed = v;
     }
 }
 
@@ -442,8 +426,6 @@ mod tests {
         for i in 3..10 {
             assert_eq!(cut.side_of(i), Side::Right, "vertex {i}");
         }
-        assert_eq!(cut.left_seed(), 0);
-        assert_eq!(cut.right_seed(), 3);
     }
 
     #[test]
@@ -551,8 +533,6 @@ mod tests {
                 scratch.run(g, u, v, policy);
                 let fresh = two_front_bfs_with_policy(g, u, v, policy);
                 assert_eq!(scratch.cut().sides(), fresh.sides(), "{policy:?}");
-                assert_eq!(scratch.cut().left_seed(), fresh.left_seed());
-                assert_eq!(scratch.cut().right_seed(), fresh.right_seed());
             }
         }
     }

@@ -39,6 +39,7 @@ use std::sync::Arc;
 use fhp_hypergraph::{DynamicNetlist, Hypergraph, IncrementalError, VertexId};
 use fhp_obs::{Gauge, Progress};
 
+use crate::balance;
 use crate::error::PartitionError;
 use crate::moves::gain_term;
 use crate::{Algorithm1, PartitionConfig, Side};
@@ -531,11 +532,10 @@ impl PartitionEngine {
         }
         // The balance slack mirrors FmRefiner's adaptive floor.
         let [left, right] = self.derived.side_weight;
-        let tolerance = left
-            .abs_diff(right)
-            .max(self.derived.heaviest().saturating_mul(2));
+        let tolerance = balance::floor(left.abs_diff(right), self.derived.heaviest());
         let mut moved = vec![false; candidates.len()];
         loop {
+            let [left, right] = self.derived.side_weight;
             let mut best: Option<(u64, usize)> = None;
             for (i, (&m, &done)) in candidates.iter().zip(&moved).enumerate() {
                 if done {
@@ -543,7 +543,7 @@ impl PartitionEngine {
                 }
                 let w = nl.module_weight(m).unwrap_or(0);
                 let from = side_in(&self.sides, m);
-                if self.derived.imbalance_after_move(w, from) > tolerance {
+                if balance::imbalance_after_move(left, right, w, from) > tolerance {
                     continue;
                 }
                 let nets = nl.incident_nets(m).unwrap_or(&[]);
@@ -762,15 +762,6 @@ impl Derived {
         } else {
             Side::Left
         }
-    }
-
-    /// The side-weight imbalance after moving weight `w` off `from`.
-    fn imbalance_after_move(&self, w: u64, from: Side) -> u64 {
-        let mut weights = self.side_weight;
-        *on_side(&mut weights, from) -= w;
-        *on_side(&mut weights, from.opposite()) += w;
-        let [left, right] = weights;
-        left.abs_diff(right)
     }
 
     /// Whether a net has pins on both sides (dead nets never do).

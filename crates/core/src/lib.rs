@@ -53,6 +53,7 @@ mod algorithm1;
 mod error;
 mod partition;
 
+pub mod balance;
 pub mod boundary;
 pub mod complete_cut;
 pub mod dual_bfs;

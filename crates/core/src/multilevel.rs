@@ -10,8 +10,8 @@
 //!    ([`heavy_pair_clustering`]: rating `w(e)/(|e|−1)`, ties to the
 //!    lowest vertex id) drives [`Contraction`]-based coarsening until the
 //!    hypergraph has at most [`MultilevelConfig::max_coarse_size`]
-//!    vertices or a level shrinks less than the
-//!    [`min_shrink`](MultilevelConfig::min_shrink) ratio.
+//!    vertices or a level keeps at least 95% of its fine level's
+//!    vertices (the clustering stalled).
 //! 2. **Initial partition** — flat Algorithm I multi-start on the
 //!    coarsest hypergraph (same seed/starts/objective as the host
 //!    config), polished with FM.
@@ -22,9 +22,9 @@
 //! Extra V-cycles re-coarsen *partition-respecting* (only same-side pairs
 //! merge, so the incumbent survives projection verbatim) and keep the
 //! result only if it strictly beats the incumbent under the host
-//! objective — so cycles never regress. A final *flat guard* (on by
-//! default) runs flat Algorithm I on the original hypergraph and returns
-//! its partition only if it strictly beats the V-cycle's, which makes
+//! objective — so cycles never regress. A final *flat guard* (always on)
+//! runs flat Algorithm I on the original hypergraph and returns its
+//! partition only if it strictly beats the V-cycle's, which makes
 //! `multilevel cut ≤ flat cut` an invariant the `fhp-verify`
 //! `check_multilevel` oracle enforces rather than a hope.
 //!
@@ -44,6 +44,13 @@ use crate::refine::{FmRefiner, FmScratch, FmWork};
 use crate::{
     Algorithm1, Bipartition, Bipartitioner, PartitionConfig, PartitionError, PartitionOutcome, Side,
 };
+
+/// Coarsening stops when a level keeps at least this share of its fine
+/// level's vertex count: the clustering stalled.
+const MIN_SHRINK: f64 = 0.95;
+
+/// FM pass cap per refinement level.
+const REFINE_PASSES: usize = 24;
 
 /// Tuning knobs of the multilevel V-cycle, threaded through
 /// [`PartitionConfig::multilevel`].
@@ -66,10 +73,7 @@ use crate::{
 #[derive(Clone, Copy, Debug, PartialEq)]
 pub struct MultilevelConfig {
     max_coarse_size: usize,
-    min_shrink: f64,
     vcycles: usize,
-    refine_passes: usize,
-    flat_guard: bool,
 }
 
 impl Default for MultilevelConfig {
@@ -79,16 +83,11 @@ impl Default for MultilevelConfig {
 }
 
 impl MultilevelConfig {
-    /// The defaults: coarsen to ≤ 60 vertices, stop when a level shrinks
-    /// less than 5%, one V-cycle, 24 refinement passes per level, flat
-    /// guard on.
+    /// The defaults: coarsen to ≤ 60 vertices and run one V-cycle.
     pub fn new() -> Self {
         Self {
             max_coarse_size: 60,
-            min_shrink: 0.95,
             vcycles: 1,
-            refine_passes: 24,
-            flat_guard: true,
         }
     }
 
@@ -96,14 +95,6 @@ impl MultilevelConfig {
     /// be at least 2).
     pub fn max_coarse_size(mut self, size: usize) -> Self {
         self.max_coarse_size = size;
-        self
-    }
-
-    /// Contraction ratio limit: give up coarsening when a level's vertex
-    /// count is at least `min_shrink` times its fine level's (default
-    /// 0.95; must lie in `(0, 1]`).
-    pub fn min_shrink(mut self, ratio: f64) -> Self {
-        self.min_shrink = ratio;
         self
     }
 
@@ -115,44 +106,14 @@ impl MultilevelConfig {
         self
     }
 
-    /// FM pass cap per refinement level (default 24).
-    pub fn refine_passes(mut self, passes: usize) -> Self {
-        self.refine_passes = passes;
-        self
-    }
-
-    /// Whether to run flat Algorithm I on the original hypergraph and
-    /// return its partition if it strictly beats the V-cycle's (default
-    /// true). With the guard on, `multilevel cut ≤ flat cut` holds by
-    /// construction.
-    pub fn flat_guard(mut self, enabled: bool) -> Self {
-        self.flat_guard = enabled;
-        self
-    }
-
     /// The configured coarsening stop size.
     pub fn max_coarse_size_value(&self) -> usize {
         self.max_coarse_size
     }
 
-    /// The configured contraction ratio limit.
-    pub fn min_shrink_value(&self) -> f64 {
-        self.min_shrink
-    }
-
     /// The configured V-cycle count.
     pub fn vcycles_value(&self) -> usize {
         self.vcycles
-    }
-
-    /// The configured per-level FM pass cap.
-    pub fn refine_passes_value(&self) -> usize {
-        self.refine_passes
-    }
-
-    /// Whether the flat guard is enabled.
-    pub fn flat_guard_value(&self) -> bool {
-        self.flat_guard
     }
 
     pub(crate) fn validate(&self) -> Result<(), PartitionError> {
@@ -164,11 +125,6 @@ impl MultilevelConfig {
         if self.vcycles == 0 {
             return Err(PartitionError::InvalidConfig {
                 reason: "multilevel vcycles must be at least 1",
-            });
-        }
-        if !(self.min_shrink > 0.0 && self.min_shrink <= 1.0) {
-            return Err(PartitionError::InvalidConfig {
-                reason: "multilevel min shrink must lie in (0, 1]",
             });
         }
         Ok(())
@@ -201,8 +157,8 @@ pub struct MultilevelStats {
     /// Finest-level cut after each cycle (never increases under the run's
     /// objective thanks to the keep-if-strictly-better rule).
     pub cycle_cuts: Vec<usize>,
-    /// The flat guard run's cut size (`None` when the guard is disabled).
-    pub flat_cut: Option<usize>,
+    /// The flat guard run's cut size.
+    pub flat_cut: usize,
     /// True if the flat guard's partition strictly beat the V-cycle's and
     /// was returned instead.
     pub used_flat_guard: bool,
@@ -215,7 +171,7 @@ pub fn coarsen_cap(h: &Hypergraph, ml: &MultilevelConfig) -> u64 {
 }
 
 /// One coarsening step: `None` when `current` is already at the stop size
-/// or the clustering stalled (shrink ratio above `min_shrink`).
+/// or the clustering stalled (shrink ratio at or above [`MIN_SHRINK`]).
 fn next_level(
     current: &Hypergraph,
     ml: &MultilevelConfig,
@@ -230,7 +186,7 @@ fn next_level(
         None => heavy_pair_clustering(current, cap),
     };
     let c = Contraction::try_contract(current, &clusters)?;
-    if (c.coarse().num_vertices() as f64) >= ml.min_shrink * current.num_vertices() as f64 {
+    if (c.coarse().num_vertices() as f64) >= MIN_SHRINK * current.num_vertices() as f64 {
         return Ok(None); // clustering stalled; partition what we have
     }
     Ok(Some(c))
@@ -287,7 +243,7 @@ pub(crate) fn run_vcycle(
 ) -> Result<PartitionOutcome, PartitionError> {
     ml.validate()?;
     let flat_config = config.multilevel(None);
-    let refiner = FmRefiner::new().max_passes(ml.refine_passes);
+    let refiner = FmRefiner::new().max_passes(REFINE_PASSES);
     // One FM scratch serves every refinement in the V-cycle: the finest
     // level bounds every coarser one, so after the first (finest-sized)
     // warm-up the per-level refinements stop allocating.
@@ -382,26 +338,20 @@ pub(crate) fn run_vcycle(
     }
 
     // ---- flat guard --------------------------------------------------
-    let mut flat_cut = None;
-    let mut used_flat_guard = false;
+    let flat_out = Algorithm1::new(flat_config).run(h)?;
+    let flat_cut = flat_out.report.cut_size;
+    let used_flat_guard = strictly_beats(obj, h, &flat_out.bipartition, &bp);
     let mut base_stats = coarse_out.stats;
-    if ml.flat_guard {
-        let flat_out = Algorithm1::new(flat_config).run(h)?;
-        flat_cut = Some(flat_out.report.cut_size);
-        if strictly_beats(obj, h, &flat_out.bipartition, &bp) {
-            used_flat_guard = true;
-            bp = flat_out.bipartition;
-            base_stats = flat_out.stats;
-        }
+    if used_flat_guard {
+        bp = flat_out.bipartition;
+        base_stats = flat_out.stats;
     }
 
     let report = CutReport::new(h, &bp);
     let summary = collector.scope(order::SUMMARY, None);
     summary.counter(names::ML_LEVELS, levels.len() as u64);
     summary.counter(names::ML_VCYCLES, ml.vcycles as u64);
-    if let Some(fc) = flat_cut {
-        summary.counter(names::ML_FLAT_GUARD_CUT, fc as u64);
-    }
+    summary.counter(names::ML_FLAT_GUARD_CUT, flat_cut as u64);
     summary.counter(names::ML_USED_FLAT_GUARD, u64::from(used_flat_guard));
     summary.counter(names::ALG1_BEST_CUT, report.cut_size as u64);
     collector.adopt(summary.finish());
@@ -506,44 +456,6 @@ impl Multilevel {
                 .multilevel(Some(MultilevelConfig::new())),
         }
     }
-
-    /// Wraps an explicit host configuration; the multilevel mode is
-    /// enabled with defaults if `config` does not already carry one.
-    pub fn with_config(config: PartitionConfig) -> Self {
-        let ml = config.multilevel_value().unwrap_or_default();
-        Self {
-            config: config.multilevel(Some(ml)),
-        }
-    }
-
-    /// Sets the coarsening stop size.
-    pub fn coarsest_size(self, size: usize) -> Self {
-        let ml = self
-            .config
-            .multilevel_value()
-            .unwrap_or_default()
-            .max_coarse_size(size);
-        Self {
-            config: self.config.multilevel(Some(ml)),
-        }
-    }
-
-    /// Sets the V-cycle count.
-    pub fn vcycles(self, cycles: usize) -> Self {
-        let ml = self
-            .config
-            .multilevel_value()
-            .unwrap_or_default()
-            .vcycles(cycles);
-        Self {
-            config: self.config.multilevel(Some(ml)),
-        }
-    }
-
-    /// The underlying engine configuration.
-    pub fn partition_config(&self) -> &PartitionConfig {
-        &self.config
-    }
 }
 
 impl Bipartitioner for Multilevel {
@@ -631,7 +543,7 @@ mod tests {
                 flat.report.cut_size
             );
             assert_eq!(
-                ml.stats.multilevel.as_ref().and_then(|m| m.flat_cut),
+                ml.stats.multilevel.as_ref().map(|m| m.flat_cut),
                 Some(flat.report.cut_size)
             );
         }
@@ -696,6 +608,28 @@ mod tests {
     }
 
     #[test]
+    fn stalled_clustering_stops_coarsening() {
+        // 100 modules of weight 10 give the cluster cap 1000 / 60 = 16, so
+        // no pair (weight 20) may merge: the first level keeps every
+        // vertex and the stall rule, not the stop size, ends coarsening
+        let mut b = HypergraphBuilder::new();
+        let vs: Vec<_> = (0..100).map(|_| b.add_weighted_vertex(10)).collect();
+        for w in vs.windows(2) {
+            b.add_edge([w[0], w[1]]).unwrap();
+        }
+        let h = b.build();
+        let ml = MultilevelConfig::new();
+        assert_eq!(coarsen_cap(&h, &ml), 16);
+        assert!(h.num_vertices() > ml.max_coarse_size_value());
+        assert!(coarsen_sequence(&h, &ml).unwrap().is_empty());
+        let out = Algorithm1::new(PartitionConfig::new().starts(4).multilevel(Some(ml)))
+            .run(&h)
+            .unwrap();
+        assert!(out.bipartition.is_valid_cut());
+        assert_eq!(out.stats.multilevel.as_ref().unwrap().levels, 0);
+    }
+
+    #[test]
     fn projection_preserves_weighted_cut_per_level() {
         let h = instance();
         let ml = MultilevelConfig::new().max_coarse_size(16);
@@ -728,8 +662,6 @@ mod tests {
         for bad in [
             MultilevelConfig::new().max_coarse_size(1),
             MultilevelConfig::new().vcycles(0),
-            MultilevelConfig::new().min_shrink(0.0),
-            MultilevelConfig::new().min_shrink(1.5),
         ] {
             let r = Algorithm1::new(PartitionConfig::new().multilevel(Some(bad))).run(&h);
             assert!(
@@ -742,11 +674,8 @@ mod tests {
     #[test]
     fn wrapper_is_a_bipartitioner() {
         let h = instance();
-        let ml = Multilevel::new(5).coarsest_size(16).vcycles(2);
+        let ml = Multilevel::new(5);
         assert_eq!(ml.name(), "Multilevel");
-        let cfg = ml.partition_config().multilevel_value().unwrap();
-        assert_eq!(cfg.max_coarse_size_value(), 16);
-        assert_eq!(cfg.vcycles_value(), 2);
         let bp = ml.bipartition(&h).unwrap();
         assert!(bp.is_valid_cut());
         let tiny = HypergraphBuilder::with_vertices(1).build();
@@ -759,8 +688,5 @@ mod tests {
         assert_eq!(c, MultilevelConfig::new());
         assert_eq!(c.max_coarse_size_value(), 60);
         assert_eq!(c.vcycles_value(), 1);
-        assert_eq!(c.refine_passes_value(), 24);
-        assert!((c.min_shrink_value() - 0.95).abs() < 1e-12);
-        assert!(c.flat_guard_value());
     }
 }

@@ -43,19 +43,6 @@ pub struct Multipartition {
 }
 
 impl Multipartition {
-    /// Builds a multipartition from explicit labels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a label is `>= k`.
-    pub fn from_labels(block_of: Vec<u32>, k: usize) -> Self {
-        assert!(
-            block_of.iter().all(|&b| (b as usize) < k),
-            "block label out of range"
-        );
-        Self { block_of, k }
-    }
-
     /// Number of blocks `k`.
     pub fn num_blocks(&self) -> usize {
         self.k
@@ -87,20 +74,6 @@ impl Multipartition {
             sizes[b as usize] += 1; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
         }
         sizes
-    }
-
-    /// Total vertex weight of each block.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `h` has a different vertex count.
-    pub fn block_weights(&self, h: &Hypergraph) -> Vec<u64> {
-        assert_eq!(h.num_vertices(), self.len(), "hypergraph mismatch");
-        let mut weights = vec![0u64; self.k];
-        for v in h.vertices() {
-            weights[self.block_of(v) as usize] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-        }
-        weights
     }
 
     /// Number of distinct blocks net `e` touches (its *connectivity*
@@ -363,31 +336,6 @@ mod tests {
         }
         let (two_way, _) = (mp.cut_size(&h), ());
         assert!(two_way <= h.num_edges());
-    }
-
-    #[test]
-    fn block_weights_sum() {
-        let h = paper_example();
-        let mp = recursive_bisection(&h, 3, factory).unwrap();
-        assert_eq!(
-            mp.block_weights(&h).iter().sum::<u64>(),
-            h.total_vertex_weight()
-        );
-    }
-
-    #[test]
-    fn from_labels_validates() {
-        let mp = Multipartition::from_labels(vec![0, 1, 2, 1], 3);
-        assert_eq!(mp.block_sizes(), vec![1, 2, 1]);
-        assert_eq!(mp.block_of(VertexId::new(2)), 2);
-        assert!(!mp.is_empty());
-        assert_eq!(mp.len(), 4);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn bad_labels_panic() {
-        let _ = Multipartition::from_labels(vec![0, 3], 3);
     }
 
     #[test]

@@ -234,32 +234,11 @@ impl Bipartition {
         self.cardinality_imbalance() <= 1
     }
 
-    /// True if the cardinality imbalance is at most `r` — the paper's
-    /// r-bipartition criterion of Fiduccia–Mattheyses (their ref. \[9\]).
-    pub fn is_r_bipartition(&self, r: usize) -> bool {
-        self.cardinality_imbalance() <= r
-    }
-
     /// Resets to `n` vertices all on [`Side::Left`], reusing the buffer —
     /// the in-place counterpart of [`all_left`](Self::all_left).
     pub fn reset(&mut self, n: usize) {
         self.sides.clear();
         self.sides.resize(n, Side::Left);
-    }
-
-    /// Overwrites this partition with the contents of a side slice,
-    /// reusing the buffer.
-    pub fn clone_from_slice(&mut self, sides: &[Side]) {
-        self.sides.clear();
-        self.sides.extend_from_slice(sides);
-    }
-
-    /// Overwrites this partition with another, reusing the buffer (the
-    /// derived `Clone::clone_from` would reallocate through `Vec<Side>`'s
-    /// default path only when capacities differ; this is explicit and
-    /// guaranteed allocation-free once `self` has enough capacity).
-    pub fn copy_from(&mut self, other: &Bipartition) {
-        self.clone_from_slice(&other.sides);
     }
 
     /// Swaps the labels of the two sides in place (the cut is unchanged).
@@ -310,8 +289,6 @@ mod tests {
         assert_eq!(bp.count(Side::Right), 1);
         assert_eq!(bp.cardinality_imbalance(), 1);
         assert!(bp.is_bisection());
-        assert!(bp.is_r_bipartition(1));
-        assert!(!bp.is_r_bipartition(0));
     }
 
     #[test]

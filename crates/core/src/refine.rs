@@ -15,6 +15,7 @@ use std::collections::BinaryHeap;
 
 use fhp_hypergraph::{Hypergraph, VertexId};
 
+use crate::balance;
 use crate::moves::{gain_term, MoveState};
 use crate::{Bipartition, Side};
 
@@ -81,7 +82,7 @@ impl FmRefiner {
     /// below twice the heaviest vertex weight.
     pub fn effective_tolerance(&self, h: &Hypergraph) -> u64 {
         let heaviest = h.vertices().map(|v| h.vertex_weight(v)).max().unwrap_or(1);
-        self.imbalance_tolerance.max(2 * heaviest)
+        balance::floor(self.imbalance_tolerance, heaviest)
     }
 
     /// One FM pass: move every vertex once (balance permitting), then roll
@@ -149,12 +150,7 @@ impl FmRefiner {
             }
             // Balance feasibility of moving v.
             let (wl, wr) = st.side_weights();
-            let vw = h.vertex_weight(v) as i64;
-            let imb = match from {
-                Side::Left => (wl as i64 - vw) - (wr as i64 + vw),
-                Side::Right => (wl as i64 + vw) - (wr as i64 - vw),
-            };
-            if imb.unsigned_abs() > tolerance {
+            if balance::imbalance_after_move(wl, wr, h.vertex_weight(v), from) > tolerance {
                 deferred.push((g, i));
                 continue;
             }
@@ -223,14 +219,9 @@ impl FmRefiner {
 
     /// Runs passes until fixpoint (or the pass cap) at an explicit
     /// tolerance — [`refine`](Self::refine) without the adaptive widening,
-    /// for callers that manage the balance envelope themselves.
-    pub fn run_passes(&self, h: &Hypergraph, start: Bipartition, tolerance: u64) -> Bipartition {
-        self.run_passes_with(h, start, tolerance, &mut FmScratch::new())
-    }
-
-    /// [`run_passes`](Self::run_passes) with reusable buffers (which the
-    /// plain method delegates to). The passes run, moves and gain updates
-    /// are added to the scratch's [`FmWork`] tally.
+    /// for callers that manage the balance envelope themselves. The
+    /// passes run, moves and gain updates are added to the scratch's
+    /// [`FmWork`] tally.
     pub fn run_passes_with(
         &self,
         h: &Hypergraph,

@@ -34,17 +34,16 @@
 //! one scratch arena across its starts, and per-start tracing scopes are
 //! built only when the collector is enabled.
 //!
-//! The same claim-by-atomic-counter / record-by-index pattern (points 2
-//! and 3 minus containment) powers the sparse dualization kernel's chunk
-//! pool in `fhp_hypergraph::intersection` — that crate sits below this
-//! one, so it carries its own copy rather than depending upward.
+//! The claiming and index-ordered collection (point 2) are the
+//! workspace's one worker pool, [`fhp_hypergraph::pool::run_indexed`],
+//! which the dualization kernel's chunk loop shares; this module adds the
+//! per-start RNG streams, panic containment and tracing scopes.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
 // fhp-audit: allow(wallclock-in-fingerprint) — wall time is diagnostic only (StartRecord.wall), never part of fingerprints or canonical traces
 use std::time::{Duration, Instant};
 
+use fhp_hypergraph::pool::run_indexed;
 use fhp_obs::{names, order, Collector, Scope, ScopeEvents};
 use rand::RngCore;
 
@@ -194,56 +193,7 @@ where
         }
     };
 
-    let workers = workers.clamp(1, starts.max(1));
-    if workers == 1 {
-        let mut arena = make_arena();
-        let records = (0..starts).map(|i| run_one(i, &mut arena)).collect();
-        return (records, vec![arena]);
-    }
-
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<StartRecord<T>>>> = Mutex::new((0..starts).map(|_| None).collect());
-    let arenas: Mutex<Vec<A>> = Mutex::new(Vec::with_capacity(workers));
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| {
-                let mut arena: Option<A> = None;
-                loop {
-                    let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches merged output
-                    if index >= starts {
-                        break;
-                    }
-                    let record = run_one(index, arena.get_or_insert_with(&make_arena));
-                    // work panics are contained by run_one, so a poisoned
-                    // lock can only mean another worker died storing a
-                    // record; the records already stored are still good
-                    let mut slots = slots
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner);
-                    if let Some(slot) = slots.get_mut(index) {
-                        *slot = Some(record);
-                    }
-                }
-                if let Some(arena) = arena {
-                    arenas
-                        .lock()
-                        .unwrap_or_else(std::sync::PoisonError::into_inner)
-                        .push(arena);
-                }
-            });
-        }
-    });
-    let records = slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..starts exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every index was claimed exactly once"))
-        .collect();
-    let arenas = arenas
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner);
-    (records, arenas)
+    run_indexed(starts, workers, make_arena, run_one)
 }
 
 /// Renders a contained panic payload as the record's error string.

@@ -146,38 +146,25 @@ pub struct CircuitNetlist {
     technology: Technology,
     modules: usize,
     signals: usize,
-    /// Probability that a net escalates one level up the block hierarchy.
-    escalation: f64,
-    /// Target modules per leaf block.
-    leaf_size: usize,
     seed: u64,
 }
 
+/// Probability that a net escalates one level up the block hierarchy.
+const ESCALATION: f64 = 0.25;
+
+/// Target modules per leaf block.
+const LEAF_SIZE: usize = 8;
+
 impl CircuitNetlist {
-    /// A netlist in the given technology with defaults: escalation 0.25,
-    /// leaf blocks of 8 modules, seed 0.
+    /// A netlist in the given technology: nets escalate one block level
+    /// with probability 0.25, leaf blocks hold 8 modules, seed 0.
     pub fn new(technology: Technology, modules: usize, signals: usize) -> Self {
         Self {
             technology,
             modules,
             signals,
-            escalation: 0.25,
-            leaf_size: 8,
             seed: 0,
         }
-    }
-
-    /// Probability a net climbs one hierarchy level (0 = perfectly local
-    /// nets, 1 = all nets global). Clamped to `[0, 0.95]`.
-    pub fn escalation(mut self, p: f64) -> Self {
-        self.escalation = p.clamp(0.0, 0.95);
-        self
-    }
-
-    /// Target leaf-block size (min 2).
-    pub fn leaf_size(mut self, size: usize) -> Self {
-        self.leaf_size = size.max(2);
-        self
     }
 
     /// Seeds the generator.
@@ -208,12 +195,12 @@ impl CircuitNetlist {
         }
 
         // The block hierarchy is implicit: blocks at level L are the
-        // contiguous ranges of size leaf_size · 2^L. A net picks a leaf
-        // block uniformly, then escalates with probability `escalation`
+        // contiguous ranges of size LEAF_SIZE · 2^L. A net picks a leaf
+        // block uniformly, then escalates with probability `ESCALATION`
         // per level.
         let levels = {
             let mut l = 0usize;
-            while self.leaf_size << l < self.modules {
+            while LEAF_SIZE << l < self.modules {
                 l += 1;
             }
             l
@@ -237,14 +224,14 @@ impl CircuitNetlist {
             if is_bus {
                 level = levels;
             } else {
-                while level < levels && rng.gen_bool(self.escalation) {
+                while level < levels && rng.gen_bool(ESCALATION) {
                     level += 1;
                 }
-                while level < levels && (self.leaf_size << level) < 4 * size {
+                while level < levels && (LEAF_SIZE << level) < 4 * size {
                     level += 1;
                 }
             }
-            let span = (self.leaf_size << level).min(self.modules).max(size);
+            let span = (LEAF_SIZE << level).min(self.modules).max(size);
             let start = if span >= self.modules {
                 0
             } else {
@@ -407,17 +394,16 @@ mod tests {
 
     #[test]
     fn locality_shows_in_diameter() {
-        // a strongly hierarchical netlist should have a longer intersection
-        // graph pseudo-diameter than a fully global one (paper §4's
-        // observation about real designs vs random hypergraphs)
+        // a hierarchical netlist should have a longer intersection graph
+        // pseudo-diameter than a uniform random one of the same shape
+        // (paper §4's observation about real designs vs random hypergraphs)
         use fhp_hypergraph::{bfs, IntersectionGraph};
         let local = CircuitNetlist::new(Technology::StdCell, 240, 400)
-            .escalation(0.15)
             .seed(4)
             .generate()
             .unwrap();
-        let global = CircuitNetlist::new(Technology::StdCell, 240, 400)
-            .escalation(0.95)
+        let global = crate::RandomHypergraph::new(240, 400)
+            .connected(true)
             .seed(4)
             .generate()
             .unwrap();
@@ -450,14 +436,5 @@ mod tests {
         assert!(CircuitNetlist::new(Technology::Pcb, 100, 10)
             .generate()
             .is_err());
-    }
-
-    #[test]
-    fn builder_clamps() {
-        let c = CircuitNetlist::new(Technology::Pcb, 10, 20)
-            .escalation(2.0)
-            .leaf_size(0);
-        assert!(c.escalation <= 0.95);
-        assert_eq!(c.leaf_size, 2);
     }
 }

@@ -76,14 +76,6 @@ impl PaperInstance {
         }
     }
 
-    /// True for the difficult (planted) inputs.
-    pub fn is_difficult(self) -> bool {
-        matches!(
-            self,
-            PaperInstance::Diff1 | PaperInstance::Diff2 | PaperInstance::Diff3
-        )
-    }
-
     /// The planted cut size for difficult instances, `None` otherwise.
     pub fn planted_cut(self) -> Option<usize> {
         match self {
@@ -211,8 +203,8 @@ mod tests {
     fn boards_have_no_planted_cut() {
         let gen = PaperInstance::Bd1.generate();
         assert!(gen.planted().is_none());
-        assert!(!PaperInstance::Bd1.is_difficult());
-        assert!(PaperInstance::Diff1.is_difficult());
+        assert!(PaperInstance::Bd1.planted_cut().is_none());
+        assert!(PaperInstance::Diff1.planted_cut().is_some());
         assert_eq!(gen.instance(), PaperInstance::Bd1);
     }
 

@@ -2,9 +2,8 @@
 //!
 //! The analysis in §3 considers hypergraphs with `n` nodes, node degree
 //! ≤ `d` and edge degree ≤ `r`. This generator produces such instances
-//! with uniform-random edges, soft degree bounding (vertices at the degree
-//! cap are avoided while alternatives remain), and optional guaranteed
-//! connectivity via an initial covering chain.
+//! with uniform-random edges and optional guaranteed connectivity via an
+//! initial covering chain.
 
 use fhp_hypergraph::{Hypergraph, HypergraphBuilder, VertexId};
 use rand::rngs::StdRng;
@@ -23,7 +22,6 @@ use crate::GenError;
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let h = RandomHypergraph::new(100, 150)
 ///     .edge_size_range(2, 4)
-///     .max_vertex_degree(Some(6))
 ///     .connected(true)
 ///     .seed(7)
 ///     .generate()?;
@@ -40,21 +38,19 @@ pub struct RandomHypergraph {
     num_edges: usize,
     edge_size_min: usize,
     edge_size_max: usize,
-    max_vertex_degree: Option<usize>,
     connected: bool,
     seed: u64,
 }
 
 impl RandomHypergraph {
     /// A generator for `num_vertices` modules and `num_edges` signals with
-    /// sizes 2–4, no degree cap, connectivity not enforced, seed 0.
+    /// sizes 2–4, connectivity not enforced, seed 0.
     pub fn new(num_vertices: usize, num_edges: usize) -> Self {
         Self {
             num_vertices,
             num_edges,
             edge_size_min: 2,
             edge_size_max: 4,
-            max_vertex_degree: None,
             connected: false,
             seed: 0,
         }
@@ -64,12 +60,6 @@ impl RandomHypergraph {
     pub fn edge_size_range(mut self, min: usize, max: usize) -> Self {
         self.edge_size_min = min;
         self.edge_size_max = max;
-        self
-    }
-
-    /// Soft cap on vertex degree (the paper's `d`). `None` = uncapped.
-    pub fn max_vertex_degree(mut self, d: Option<usize>) -> Self {
-        self.max_vertex_degree = d;
         self
     }
 
@@ -97,18 +87,14 @@ impl RandomHypergraph {
         self.validate()?;
         let mut rng = StdRng::seed_from_u64(self.seed);
         let mut b = HypergraphBuilder::with_vertices(self.num_vertices);
-        let mut degree = vec![0usize; self.num_vertices];
         let mut edges_left = self.num_edges;
 
         if self.connected {
-            edges_left -= self.chain_edges(&mut b, &mut degree, &mut rng);
+            edges_left -= self.chain_edges(&mut b, &mut rng);
         }
         for _ in 0..edges_left {
             let size = rng.gen_range(self.edge_size_min..=self.edge_size_max);
-            let pins = self.sample_pins(size, &degree, &mut rng);
-            for &p in &pins {
-                degree[p.index()] += 1;
-            }
+            let pins = self.sample_pins(size, &mut rng);
             b.add_edge(pins).expect("sampled pins are valid");
         }
         Ok(b.build())
@@ -116,12 +102,7 @@ impl RandomHypergraph {
 
     /// Chains all vertices in random order with overlapping edges of the
     /// maximum size; returns the number of edges spent.
-    fn chain_edges(
-        &self,
-        b: &mut HypergraphBuilder,
-        degree: &mut [usize],
-        rng: &mut StdRng,
-    ) -> usize {
+    fn chain_edges(&self, b: &mut HypergraphBuilder, rng: &mut StdRng) -> usize {
         let mut order: Vec<VertexId> = (0..self.num_vertices).map(VertexId::new).collect();
         order.shuffle(rng);
         let span = self.edge_size_max;
@@ -130,9 +111,6 @@ impl RandomHypergraph {
         while i + 1 < order.len() {
             let end = (i + span).min(order.len());
             let pins: Vec<VertexId> = order[i..end].to_vec();
-            for &p in &pins {
-                degree[p.index()] += 1;
-            }
             b.add_edge(pins).expect("chain pins are valid");
             used += 1;
             i = end - 1; // overlap by one vertex to stay connected
@@ -140,24 +118,14 @@ impl RandomHypergraph {
         used
     }
 
-    /// Samples `size` distinct pins, preferring vertices under the degree
-    /// cap.
-    fn sample_pins(&self, size: usize, degree: &[usize], rng: &mut StdRng) -> Vec<VertexId> {
+    /// Samples `size` distinct pins uniformly.
+    fn sample_pins(&self, size: usize, rng: &mut StdRng) -> Vec<VertexId> {
         let mut pins = Vec::with_capacity(size);
-        let mut tries = 0usize;
         while pins.len() < size {
             let v = VertexId::new(rng.gen_range(0..self.num_vertices));
-            tries += 1;
-            if pins.contains(&v) {
-                continue;
+            if !pins.contains(&v) {
+                pins.push(v);
             }
-            if let Some(d) = self.max_vertex_degree {
-                // soft cap: after many failed tries, accept over-degree
-                if degree[v.index()] >= d && tries < 20 * size {
-                    continue;
-                }
-            }
-            pins.push(v);
         }
         pins
     }
@@ -223,17 +191,6 @@ mod tests {
                 .unwrap();
             assert_eq!(h.connected_components().1, 1, "seed {seed}");
         }
-    }
-
-    #[test]
-    fn degree_cap_is_mostly_respected() {
-        let h = RandomHypergraph::new(40, 60)
-            .max_vertex_degree(Some(5))
-            .seed(3)
-            .generate()
-            .unwrap();
-        let over = h.vertices().filter(|&v| h.vertex_degree(v) > 5).count();
-        assert!(over <= 2, "{over} vertices exceed the soft cap");
     }
 
     #[test]

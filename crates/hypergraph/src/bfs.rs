@@ -73,11 +73,6 @@ impl BfsLevels {
         (d != UNREACHED).then_some(d)
     }
 
-    /// Raw distance array (`UNREACHED` for unreachable vertices).
-    pub fn raw_dist(&self) -> &[u32] {
-        &self.dist
-    }
-
     /// Vertices reachable from the source, in BFS visit order (source first).
     pub fn visit_order(&self) -> &[u32] {
         &self.order
@@ -253,11 +248,6 @@ pub fn exact_diameter(g: &Graph) -> Option<u32> {
     )
 }
 
-/// Eccentricity of `v` within its component (its BFS depth).
-pub fn eccentricity(g: &Graph, v: u32) -> u32 {
-    bfs(g, v).depth()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -285,7 +275,7 @@ mod tests {
         let l = bfs(&g, 0);
         assert_eq!(l.dist(2), None);
         assert_eq!(l.num_reached(), 2);
-        assert_eq!(l.raw_dist()[3], UNREACHED);
+        assert_eq!(l.dist(3), None);
     }
 
     #[test]
@@ -347,13 +337,6 @@ mod tests {
         assert!(!is_connected(&g));
         assert!(is_connected(&cycle(5)));
         assert!(is_connected(&Graph::empty(0)));
-    }
-
-    #[test]
-    fn eccentricity_matches_bfs_depth() {
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (2, 3)]);
-        assert_eq!(eccentricity(&g, 0), 3);
-        assert_eq!(eccentricity(&g, 1), 2);
     }
 
     #[test]

@@ -40,6 +40,12 @@ pub enum BuildHypergraphError {
         /// The offending vertex.
         vertex: VertexId,
     },
+    /// The vertex weights sum past `u64::MAX`, so side weights and
+    /// balance bounds could not be represented.
+    VertexWeightOverflow,
+    /// The edge weights sum past `u64::MAX`, so weighted cuts could not
+    /// be represented.
+    EdgeWeightOverflow,
 }
 
 impl fmt::Display for BuildHypergraphError {
@@ -54,6 +60,8 @@ impl fmt::Display for BuildHypergraphError {
             Self::ZeroVertexWeight { vertex } => {
                 write!(f, "vertex {vertex} has zero weight")
             }
+            Self::VertexWeightOverflow => write!(f, "vertex weights sum past u64::MAX"),
+            Self::EdgeWeightOverflow => write!(f, "edge weights sum past u64::MAX"),
         }
     }
 }
@@ -160,6 +168,8 @@ pub enum ParseNetlistError {
     },
     /// The input declared no signals at all.
     EmptyNetlist,
+    /// The module weights sum past `u64::MAX`.
+    WeightOverflow,
 }
 
 impl ParseNetlistError {
@@ -173,7 +183,7 @@ impl ParseNetlistError {
             | Self::MalformedWeight { line }
             | Self::UnknownModuleInWeight { line, .. }
             | Self::ZeroWeight { line, .. } => Some(*line),
-            Self::EmptyNetlist => None,
+            Self::EmptyNetlist | Self::WeightOverflow => None,
         }
     }
 }
@@ -200,6 +210,7 @@ impl fmt::Display for ParseNetlistError {
                 write!(f, "line {line}: module `{module}` given zero weight")
             }
             Self::EmptyNetlist => write!(f, "netlist declares no signals"),
+            Self::WeightOverflow => write!(f, "module weights sum past u64::MAX"),
         }
     }
 }
@@ -255,6 +266,8 @@ pub enum ParseHgrError {
         /// The parser's limit.
         limit: usize,
     },
+    /// The vertex weights or the edge weights sum past `u64::MAX`.
+    WeightOverflow,
 }
 
 impl fmt::Display for ParseHgrError {
@@ -284,6 +297,7 @@ impl fmt::Display for ParseHgrError {
                 f,
                 "line {line}: header declares {declared} vertices, above the parser limit {limit}"
             ),
+            Self::WeightOverflow => write!(f, "vertex or edge weights sum past u64::MAX"),
         }
     }
 }

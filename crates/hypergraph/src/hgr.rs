@@ -34,7 +34,8 @@ pub const MAX_DECLARED_VERTICES: usize = 1 << 24;
 ///
 /// [`ParseHgrError`] pinpoints the offending line: malformed headers,
 /// non-numeric tokens, out-of-range vertex references (vertices are
-/// 1-based), wrong line counts, or zero weights.
+/// 1-based), wrong line counts, or zero weights; a vertex- or edge-weight
+/// total past `u64::MAX` is [`ParseHgrError::WeightOverflow`].
 ///
 /// # Examples
 ///
@@ -129,7 +130,9 @@ pub fn parse_hgr(text: &str) -> Result<Hypergraph, ParseHgrError> {
     if let Some((line_no, _)) = lines.next() {
         return Err(ParseHgrError::TrailingContent { line: line_no });
     }
-    b.try_build().map_err(|_| ParseHgrError::MissingHeader) // unreachable: weights checked
+    // pins and zero weights were checked line by line above, so a weight
+    // total past u64::MAX is the one rejection left
+    b.try_build().map_err(|_| ParseHgrError::WeightOverflow)
 }
 
 fn parse_num<T: std::str::FromStr>(tok: Option<&str>, line: usize) -> Result<T, ParseHgrError> {
@@ -343,6 +346,20 @@ mod tests {
             parse_hgr("4294967296 2\n1 2\n").unwrap_err(),
             ParseHgrError::TooFewLines { .. }
         ));
+    }
+
+    #[test]
+    fn weight_totals_past_u64_are_rejected() {
+        // three modules of 2^63: a wrapped total would reach a V-cycle's
+        // contraction as a zero-weight coarse vertex
+        let vertices =
+            "2 3 10\n1 2\n2 3\n9223372036854775808\n9223372036854775808\n9223372036854775808\n";
+        assert_eq!(parse_hgr(vertices), Err(ParseHgrError::WeightOverflow));
+        let edges = "2 3 1\n9223372036854775808 1 2\n9223372036854775808 2 3\n";
+        assert_eq!(parse_hgr(edges), Err(ParseHgrError::WeightOverflow));
+        // a total of exactly u64::MAX still parses
+        let at_max = "1 2 10\n1 2\n9223372036854775808\n9223372036854775807\n";
+        assert_eq!(parse_hgr(at_max).unwrap().total_vertex_weight(), u64::MAX);
     }
 
     #[test]

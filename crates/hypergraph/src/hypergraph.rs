@@ -154,12 +154,6 @@ impl Hypergraph {
         (0..self.num_edges()).map(EdgeId::new)
     }
 
-    /// True if the hypergraph is a plain graph (every edge has exactly two
-    /// pins).
-    pub fn is_graph(&self) -> bool {
-        self.edges().all(|e| self.edge_size(e) == 2)
-    }
-
     /// Connected components of the hypergraph, where two vertices are
     /// connected if some hyperedge contains both.
     ///
@@ -332,12 +326,25 @@ impl HypergraphBuilder {
     /// # Errors
     ///
     /// Returns [`BuildHypergraphError::ZeroVertexWeight`] if any vertex was
-    /// given weight 0.
+    /// given weight 0, and [`BuildHypergraphError::VertexWeightOverflow`]
+    /// or [`BuildHypergraphError::EdgeWeightOverflow`] if the vertex or
+    /// edge weights sum past `u64::MAX`.
     pub fn try_build(self) -> Result<Hypergraph, BuildHypergraphError> {
         if let Some(bad) = self.vertex_weights.iter().position(|&w| w == 0) {
             return Err(BuildHypergraphError::ZeroVertexWeight {
                 vertex: VertexId::new(bad),
             });
+        }
+        let sums = |ws: &[u64]| {
+            ws.iter()
+                .try_fold(0u64, |acc, &w| acc.checked_add(w))
+                .is_some()
+        };
+        if !sums(&self.vertex_weights) {
+            return Err(BuildHypergraphError::VertexWeightOverflow);
+        }
+        if !sums(&self.edge_weights) {
+            return Err(BuildHypergraphError::EdgeWeightOverflow);
         }
         let num_vertices = self.vertex_weights.len();
 
@@ -387,8 +394,8 @@ impl HypergraphBuilder {
     ///
     /// # Panics
     ///
-    /// Panics if any vertex has weight 0; use [`try_build`](Self::try_build)
-    /// to handle that case as an error.
+    /// Panics if any vertex has weight 0 or a weight total overflows; use
+    /// [`try_build`](Self::try_build) to handle those cases as errors.
     pub fn build(self) -> Hypergraph {
         self.try_build().expect("invalid hypergraph") // fhp-audit: allow(panic-site) — pin/vertex ids validated by HypergraphBuilder; documented `# Panics` contracts
     }
@@ -419,7 +426,6 @@ mod tests {
         assert_eq!(h.vertex_degree(VertexId::new(0)), 2);
         assert_eq!(h.max_edge_size(), 3);
         assert_eq!(h.max_vertex_degree(), 2);
-        assert!(!h.is_graph());
     }
 
     #[test]
@@ -489,6 +495,23 @@ mod tests {
     }
 
     #[test]
+    fn weight_totals_past_u64_rejected_at_build() {
+        let mut b = HypergraphBuilder::new();
+        let a = b.add_weighted_vertex(u64::MAX);
+        let c = b.add_weighted_vertex(1);
+        b.add_edge([a, c]).unwrap();
+        assert_eq!(
+            b.try_build(),
+            Err(BuildHypergraphError::VertexWeightOverflow)
+        );
+        let mut b = HypergraphBuilder::with_vertices(2);
+        let pins = [VertexId::new(0), VertexId::new(1)];
+        b.add_weighted_edge(pins, u64::MAX).unwrap();
+        b.add_weighted_edge(pins, 1).unwrap();
+        assert_eq!(b.try_build(), Err(BuildHypergraphError::EdgeWeightOverflow));
+    }
+
+    #[test]
     fn weights_accumulate() {
         let mut b = HypergraphBuilder::new();
         let a = b.add_weighted_vertex(3);
@@ -536,14 +559,5 @@ mod tests {
         assert_ne!(comp[0], comp[2]);
         assert_ne!(comp[5], comp[0]);
         assert_ne!(comp[5], comp[2]);
-    }
-
-    #[test]
-    fn graph_detection() {
-        let mut b = HypergraphBuilder::with_vertices(3);
-        b.add_edge([VertexId::new(0), VertexId::new(1)]).unwrap();
-        b.add_edge([VertexId::new(1), VertexId::new(2)]).unwrap();
-        let h = b.build();
-        assert!(h.is_graph());
     }
 }

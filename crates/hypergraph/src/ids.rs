@@ -70,12 +70,6 @@ macro_rules! impl_id {
             pub fn raw(self) -> u32 {
                 self.0
             }
-
-            /// Creates an identifier from a raw `u32` without bounds concerns.
-            #[inline]
-            pub fn from_raw(raw: u32) -> Self {
-                Self(raw)
-            }
         }
 
         impl fmt::Display for $name {
@@ -105,7 +99,6 @@ mod tests {
         let v = VertexId::new(42);
         assert_eq!(v.index(), 42);
         assert_eq!(v.raw(), 42);
-        assert_eq!(VertexId::from_raw(42), v);
         assert_eq!(usize::from(v), 42);
     }
 
@@ -113,7 +106,7 @@ mod tests {
     fn edge_id_round_trips() {
         let e = EdgeId::new(7);
         assert_eq!(e.index(), 7);
-        assert_eq!(EdgeId::from_raw(e.raw()), e);
+        assert_eq!(e.raw(), 7);
     }
 
     #[test]

@@ -155,12 +155,6 @@ impl DynamicNetlist {
         self.live_nets
     }
 
-    /// Total slot count (live + tombstoned) for modules — the exclusive
-    /// upper bound of every module id ever allocated.
-    pub fn module_slots(&self) -> usize {
-        self.modules.len()
-    }
-
     /// Total slot count (live + tombstoned) for nets.
     pub fn net_slots(&self) -> usize {
         self.nets.len()
@@ -204,11 +198,6 @@ impl DynamicNetlist {
             .enumerate()
             .filter(|(_, n)| n.is_some())
             .map(|(i, _)| i as u32) // fhp-audit: allow(as-cast-truncation) — slot indices fit u32 by the id representation
-    }
-
-    /// Sum of live module weights.
-    pub fn total_module_weight(&self) -> u64 {
-        self.modules.iter().flatten().sum()
     }
 
     fn net_slot(&self, e: u32) -> Option<&NetSlot> {
@@ -538,7 +527,10 @@ mod tests {
         let a = nl.add_module(2).expect("weight ok");
         let b = nl.add_module(3).expect("weight ok");
         assert_eq!((a, b), (0, 1));
-        assert_eq!(nl.total_module_weight(), 5);
+        assert_eq!(
+            (nl.module_weight(a), nl.module_weight(b)),
+            (Some(2), Some(3))
+        );
         assert_eq!(nl.add_net(&[], 1), Err(IncrementalError::EmptyNet));
         assert_eq!(
             nl.add_net(&[0, 0], 1),

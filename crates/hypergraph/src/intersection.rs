@@ -38,8 +38,8 @@
 //!
 //! Chunks are the data-parallel work units: one per pass, except that an
 //! uncapped build with `threads > 1` splits its single pass into
-//! `min(2·threads, 32)` equal chunks. A scoped worker pool (the same
-//! claim-by-atomic-counter pattern as `fhp_core::runner`) executes them.
+//! `min(2·threads, 32)` equal chunks. The workspace's one worker pool,
+//! [`run_indexed`], executes them.
 //! The merged output is the sorted multiset union of the runs, which is a
 //! pure function of `(H, threshold)` — **not** of the cap, the chunking,
 //! the worker count, or the completion order — so the built graph is
@@ -49,14 +49,14 @@
 //! bytes spilled, and wall time. Every counter it records is a pure
 //! function of `(H, threshold, cap)`, never of `threads`.
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::Arc;
 use std::time::Duration;
 
 use fhp_obs::{
     counter_total, names, order, span_total_ns, Collector, Event, Gauge, Progress, Scope,
 };
 
+use crate::pool::run_indexed;
 use crate::{BuildGraphError, EdgeId, Graph, GraphBuilder, Hypergraph, VertexId};
 
 const FILTERED: u32 = u32::MAX;
@@ -290,18 +290,23 @@ impl Dualizer {
             p.add(Gauge::DualizePassesTotal, passes);
         }
         let shards_span = scope.span(names::DUALIZE_SHARDS);
-        let runs = run_chunks(chunks, threads, |c| {
-            let hi = ((c as u64 + 1) * chunk_len).min(total_pairs);
-            let lo = (c as u64 * chunk_len).min(hi);
-            let out = dualize_chunk(h, &g_of, &prefix, lo, hi);
-            if let Some(p) = progress {
-                p.add(Gauge::DualizePairsRetired, out.generated);
-                if !split {
-                    p.add(Gauge::DualizePassesDone, 1);
+        let (runs, _) = run_indexed(
+            chunks,
+            threads,
+            || (),
+            |c, _| {
+                let hi = ((c as u64 + 1) * chunk_len).min(total_pairs);
+                let lo = (c as u64 * chunk_len).min(hi);
+                let out = dualize_chunk(h, &g_of, &prefix, lo, hi);
+                if let Some(p) = progress {
+                    p.add(Gauge::DualizePairsRetired, out.generated);
+                    if !split {
+                        p.add(Gauge::DualizePassesDone, 1);
+                    }
                 }
-            }
-            out
-        });
+                out
+            },
+        );
         drop(shards_span);
         if let Some(p) = progress.filter(|_| split) {
             p.add(Gauge::DualizePassesDone, passes);
@@ -544,17 +549,6 @@ impl IntersectionGraph {
         (g != FILTERED).then_some(g)
     }
 
-    /// How many modules the hyperedges behind G-vertices `ga` and `gb`
-    /// share — the weight of the G-edge — or `None` if they are not
-    /// adjacent.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `ga` is out of range.
-    pub fn shared_modules(&self, ga: u32, gb: u32) -> Option<u32> {
-        self.graph.edge_slot(ga, gb).map(|slot| self.shared[slot]) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    }
-
     /// Shared-module multiplicities of `g`'s adjacencies, aligned with
     /// [`Graph::neighbors`]`(g)`.
     ///
@@ -573,17 +567,6 @@ impl IntersectionGraph {
     /// Hyperedges that were filtered out (size ≥ threshold).
     pub fn filtered_edges<'a>(&'a self, h: &'a Hypergraph) -> impl Iterator<Item = EdgeId> + 'a {
         h.edges().filter(|e| self.g_of[e.index()] == FILTERED) // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-    }
-
-    /// Vertices of `H` covered by at least one kept hyperedge.
-    pub fn covered_vertices(&self, h: &Hypergraph) -> Vec<bool> {
-        let mut covered = vec![false; h.num_vertices()];
-        for &e in &self.kept {
-            for &p in h.pins(e) {
-                covered[p.index()] = true; // fhp-audit: allow(panic-site) — CSR offsets/cursors built by this module's shard merge; in-range by construction (module docs)
-            }
-        }
-        covered
     }
 }
 
@@ -764,48 +747,6 @@ fn merge_run_tree(mut runs: Vec<Run>) -> (Vec<(u32, u32)>, Vec<u32>) {
     (s.pairs, s.counts)
 }
 
-/// Runs `work(c)` for every chunk across `threads` scoped workers that
-/// claim chunk indices from an atomic counter, returning outputs in chunk
-/// order regardless of completion order — the `fhp_core::runner` pattern.
-fn run_chunks<T, F>(chunks: usize, threads: usize, work: F) -> Vec<T>
-where
-    T: Send,
-    F: Fn(usize) -> T + Sync,
-{
-    let workers = threads.clamp(1, chunks.max(1));
-    if workers == 1 {
-        return (0..chunks).map(work).collect();
-    }
-    let next = AtomicUsize::new(0);
-    let slots: Mutex<Vec<Option<T>>> = Mutex::new((0..chunks).map(|_| None).collect());
-    std::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|| loop {
-                let index = next.fetch_add(1, Ordering::Relaxed); // fhp-audit: allow(atomic-ordering) — claim-by-counter: fetch_add is the only use; claim order never reaches the merged output
-                if index >= chunks {
-                    break;
-                }
-                let out = work(index);
-                // a poisoned lock means another worker died mid-store;
-                // outputs already stored are still good — keep going
-                let mut slots = slots
-                    .lock()
-                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                if let Some(slot) = slots.get_mut(index) {
-                    *slot = Some(out);
-                }
-            });
-        }
-    });
-    slots
-        .into_inner()
-        .unwrap_or_else(std::sync::PoisonError::into_inner)
-        .into_iter()
-        // fhp-audit: allow(panic-site) — the claim loop covers 0..chunks exactly once; a hole is an engine bug worth a loud stop
-        .map(|slot| slot.expect("every chunk was claimed exactly once"))
-        .collect()
-}
-
 /// Writes the CSR adjacency (and the aligned multiplicity array) straight
 /// from the lexicographically sorted unique pair list.
 ///
@@ -936,16 +877,17 @@ mod tests {
         let h = paper_example();
         let ig = IntersectionGraph::build(&h);
         let idx = |ch: char| (ch as u8 - b'a') as u32;
-        assert_eq!(ig.shared_modules(idx('a'), idx('b')), Some(2)); // modules 2, 11
-        assert_eq!(ig.shared_modules(idx('b'), idx('a')), Some(2)); // symmetric
-        assert_eq!(ig.shared_modules(idx('a'), idx('c')), Some(1)); // module 1
-        assert_eq!(ig.shared_modules(idx('h'), idx('i')), Some(3)); // modules 7, 9, 10
-        assert_eq!(ig.shared_modules(idx('a'), idx('i')), None);
+        let shared = |ga, gb| ig.graph().edge_slot(ga, gb).map(|slot| ig.shared[slot]);
+        assert_eq!(shared(idx('a'), idx('b')), Some(2)); // modules 2, 11
+        assert_eq!(shared(idx('b'), idx('a')), Some(2)); // symmetric
+        assert_eq!(shared(idx('a'), idx('c')), Some(1)); // module 1
+        assert_eq!(shared(idx('h'), idx('i')), Some(3)); // modules 7, 9, 10
+        assert_eq!(shared(idx('a'), idx('i')), None);
         // aligned view agrees with pointwise lookups
         for g in ig.graph().vertices() {
             let mults = ig.multiplicities_of(g);
             for (i, &n) in ig.graph().neighbors(g).iter().enumerate() {
-                assert_eq!(ig.shared_modules(g, n), Some(mults[i]));
+                assert_eq!(shared(g, n), Some(mults[i]));
                 assert!(mults[i] >= 1);
             }
         }
@@ -1028,17 +970,6 @@ mod tests {
     }
 
     #[test]
-    fn covered_vertices_accounts_for_filtering() {
-        let mut b = HypergraphBuilder::with_vertices(5);
-        b.add_edge([VertexId::new(0), VertexId::new(1)]).unwrap();
-        b.add_edge((0..5).map(VertexId::new)).unwrap(); // size 5
-        let h = b.build();
-        let ig = IntersectionGraph::build_with_threshold(&h, Some(5));
-        let covered = ig.covered_vertices(&h);
-        assert_eq!(covered, vec![true, true, false, false, false]);
-    }
-
-    #[test]
     fn no_self_adjacency() {
         let h = chain_hypergraph();
         let ig = IntersectionGraph::build(&h);
@@ -1061,7 +992,6 @@ mod tests {
         for threads in [1, 4] {
             let ig = Dualizer::new().threads(threads).build(&h).unwrap();
             assert_eq!(ig.num_g_vertices(), 0);
-            assert_eq!(ig.covered_vertices(&h), vec![false; 3]);
             assert_eq!(ig.stats().pairs_generated, 0);
         }
     }

@@ -47,6 +47,7 @@ pub mod hgr;
 pub mod incremental;
 pub mod intersection;
 pub mod netlist;
+pub mod pool;
 pub mod stats;
 pub mod subhypergraph;
 

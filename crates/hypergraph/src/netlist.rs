@@ -87,7 +87,8 @@ impl Netlist {
     ///
     /// Returns a [`ParseNetlistError`] naming the offending line for
     /// malformed signal lines, duplicate signal names, malformed or dangling
-    /// `@weight` directives, or an input with no signals at all.
+    /// `@weight` directives, an input with no signals at all, or module
+    /// weights that sum past `u64::MAX`.
     pub fn parse(text: &str) -> Result<Self, ParseNetlistError> {
         let mut builder = HypergraphBuilder::new();
         let mut module_index: BTreeMap<String, VertexId> = BTreeMap::new();
@@ -170,8 +171,13 @@ impl Netlist {
             }
         }
 
+        // zero weights were rejected per directive above, so a module
+        // weight total past u64::MAX is the one rejection left
+        let hypergraph = builder
+            .try_build()
+            .map_err(|_| ParseNetlistError::WeightOverflow)?;
         Ok(Self {
-            hypergraph: builder.try_build().expect("weights validated positive"), // fhp-audit: allow(panic-site) — name tables built in lockstep with ids by the parser
+            hypergraph,
             module_names,
             signal_names,
             module_index,
@@ -182,11 +188,6 @@ impl Netlist {
     /// mentioned; edge `j` is the `j`-th signal line.
     pub fn hypergraph(&self) -> &Hypergraph {
         &self.hypergraph
-    }
-
-    /// Consumes the netlist, returning the hypergraph.
-    pub fn into_hypergraph(self) -> Hypergraph {
-        self.hypergraph
     }
 
     /// Name of module `v`.
@@ -344,6 +345,14 @@ mod tests {
     }
 
     #[test]
+    fn error_weight_overflow() {
+        let err =
+            Netlist::parse("a: 1 2\n@weight 1 18446744073709551615\n@weight 2 1\n").unwrap_err();
+        assert_eq!(err, ParseNetlistError::WeightOverflow);
+        assert_eq!(err.line(), None);
+    }
+
+    #[test]
     fn error_empty_netlist() {
         assert_eq!(
             Netlist::parse("# nothing\n").unwrap_err(),
@@ -367,8 +376,7 @@ mod tests {
         assert_eq!(nl.signal_id("sig"), Some(EdgeId::new(0)));
         assert_eq!(nl.signal_id("nope"), None);
         assert_eq!(nl.module_id("nope"), None);
-        let h = nl.into_hypergraph();
-        assert_eq!(h.num_edges(), 1);
+        assert_eq!(nl.hypergraph().num_edges(), 1);
     }
 
     #[test]

@@ -1,11 +1,11 @@
-//! Descriptive statistics over hypergraphs and graphs.
+//! Descriptive statistics over hypergraphs.
 //!
 //! The paper's analysis is parameterized by the class `H(n, d, r, c)` —
 //! `n` nodes, node degree ≤ `d`, edge degree ≤ `r`, minimum cutsize `c`.
 //! These helpers report the empirical `d`, `r` and related shape data for
 //! an instance, which the experiment harness prints alongside results.
 
-use crate::{Graph, Hypergraph};
+use crate::Hypergraph;
 
 /// Summary statistics of a hypergraph instance.
 ///
@@ -69,34 +69,6 @@ impl HypergraphStats {
     }
 }
 
-/// Histogram of edge sizes: `histogram[k]` counts edges with exactly `k`
-/// pins (index 0 and 1 are always zero for built hypergraphs).
-pub fn edge_size_histogram(h: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; h.max_edge_size() + 1];
-    for e in h.edges() {
-        hist[h.edge_size(e)] += 1; // fhp-audit: allow(panic-site) — hist is sized to max+1 on the line above
-    }
-    hist
-}
-
-/// Histogram of vertex degrees.
-pub fn vertex_degree_histogram(h: &Hypergraph) -> Vec<usize> {
-    let mut hist = vec![0usize; h.max_vertex_degree() + 1];
-    for v in h.vertices() {
-        hist[h.vertex_degree(v)] += 1; // fhp-audit: allow(panic-site) — hist is sized to max+1 on the line above
-    }
-    hist
-}
-
-/// Degree histogram of a plain graph.
-pub fn graph_degree_histogram(g: &Graph) -> Vec<usize> {
-    let mut hist = vec![0usize; g.max_degree() + 1];
-    for v in g.vertices() {
-        hist[g.degree(v)] += 1; // fhp-audit: allow(panic-site) — hist is sized to max+1 on the line above
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -115,36 +87,10 @@ mod tests {
     }
 
     #[test]
-    fn histograms_sum_to_counts() {
-        let h = paper_example();
-        assert_eq!(edge_size_histogram(&h).iter().sum::<usize>(), h.num_edges());
-        assert_eq!(
-            vertex_degree_histogram(&h).iter().sum::<usize>(),
-            h.num_vertices()
-        );
-    }
-
-    #[test]
-    fn edge_size_histogram_contents() {
-        let h = paper_example();
-        let hist = edge_size_histogram(&h);
-        // signals of sizes: 3,3,4,2,3,3,2,3,4
-        assert_eq!(hist[2], 2);
-        assert_eq!(hist[3], 5);
-        assert_eq!(hist[4], 2);
-    }
-
-    #[test]
     fn empty_hypergraph_stats() {
         let s = HypergraphStats::of(&HypergraphBuilder::new().build());
         assert_eq!(s.mean_edge_size, 0.0);
         assert_eq!(s.mean_vertex_degree, 0.0);
         assert_eq!(s.num_components, 0);
-    }
-
-    #[test]
-    fn graph_degree_histogram_path() {
-        let g = Graph::from_edges(3, [(0, 1), (1, 2)]);
-        assert_eq!(graph_degree_histogram(&g), vec![0, 2, 1]);
     }
 }

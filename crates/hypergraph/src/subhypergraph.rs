@@ -123,11 +123,6 @@ impl Subhypergraph {
     pub fn parent_vertices(&self) -> &[VertexId] {
         &self.parent_vertex
     }
-
-    /// Number of parent signals that survived the restriction.
-    pub fn num_kept_edges(&self) -> usize {
-        self.parent_edge.len()
-    }
 }
 
 #[cfg(test)]
@@ -142,7 +137,6 @@ mod tests {
         let sub = Subhypergraph::induce(&h, &keep);
         assert_eq!(sub.hypergraph().num_vertices(), 6);
         assert!(sub.hypergraph().num_edges() <= h.num_edges());
-        assert_eq!(sub.num_kept_edges(), sub.hypergraph().num_edges());
     }
 
     #[test]

@@ -928,9 +928,9 @@ fn oracle_multilevel(ctx: &Ctx<'_>) -> Result<u64, Violation> {
             ctx.fail("multilevel mode ran but the outcome carries no MultilevelStats".to_string())
         );
     };
-    checks += ctx.ensure(stats.flat_cut == Some(flat_out.report.cut_size), || {
+    checks += ctx.ensure(stats.flat_cut == flat_out.report.cut_size, || {
         format!(
-            "recorded flat guard cut {:?} differs from our flat run's {}",
+            "recorded flat guard cut {} differs from our flat run's {}",
             stats.flat_cut, flat_out.report.cut_size
         )
     })?;
