@@ -16,8 +16,9 @@
 //!
 //! The hard assertions (run in smoke mode too): min-of-N `disabled` and
 //! min-of-N `progress` wall are each within 5% of min-of-N `baseline`.
-//! Min-of-N with up to three attempts keeps scheduler noise out of the
-//! ratio; the margin is generous because the real cost — a few hundred
+//! Each configuration is timed in alternation with its baseline, sample
+//! by sample, so a load burst lands on both sides of the ratio; min-of-N
+//! with up to three attempts keeps scheduler noise out of it; the margin is generous because the real cost — a few hundred
 //! buffered events or relaxed atomic stores per run — is orders of
 //! magnitude below it. The `enabled` ratio is reported in
 //! `BENCH_trace_overhead.json` but not asserted: exporting a trace is an
@@ -37,15 +38,30 @@ const HUB_MODULES: usize = 8;
 const MAX_ATTEMPTS: usize = 3;
 const BUDGET: f64 = 1.05;
 
-fn min_wall_ns(samples: usize, run: impl Fn() -> usize) -> (u128, usize) {
-    let mut best = u128::MAX;
-    let mut cut = usize::MAX;
-    for _ in 0..samples {
-        let started = Instant::now();
-        cut = run();
-        best = best.min(started.elapsed().as_nanos());
+/// Min-of-`samples` wall time and last cut of the runs `a` and `b`,
+/// timed in alternation with the order flipped every sample (a, b, b, a,
+/// a, b, …): a burst of outside load slows both sides of their ratio
+/// instead of one, and whichever run goes second in a pair — measured to
+/// be slower on a shared VM — is `a` as often as `b`.
+fn paired_min_wall_ns(
+    samples: usize,
+    a: impl Fn() -> usize,
+    b: impl Fn() -> usize,
+) -> [(u128, usize); 2] {
+    let runs: [&dyn Fn() -> usize; 2] = [&a, &b];
+    let mut best = [(u128::MAX, usize::MAX); 2];
+    for i in 0..samples {
+        let mut pair: Vec<_> = best.iter_mut().zip(runs).collect();
+        if i % 2 == 1 {
+            pair.reverse();
+        }
+        for (slot, run) in pair {
+            let started = Instant::now();
+            let cut = run();
+            *slot = (slot.0.min(started.elapsed().as_nanos()), cut);
+        }
     }
-    (best, cut)
+    best
 }
 
 fn main() {
@@ -78,8 +94,11 @@ fn main() {
     let mut accepted = None;
     let mut attempts = Vec::new();
     for attempt in 1..=MAX_ATTEMPTS {
-        let (base_ns, base_cut) = min_wall_ns(samples, || run_with(None));
-        let (dis_ns, dis_cut) = min_wall_ns(samples, || run_with(Some(Collector::disabled())));
+        let [(base_ns, base_cut), (dis_ns, dis_cut)] = paired_min_wall_ns(
+            samples,
+            || run_with(None),
+            || run_with(Some(Collector::disabled())),
+        );
         assert_eq!(base_cut, dis_cut, "a disabled collector changed the cut");
         let ratio = dis_ns as f64 / base_ns as f64;
         println!(
@@ -106,17 +125,20 @@ fn main() {
     let mut progress_accepted = None;
     let mut progress_attempts = Vec::new();
     for attempt in 1..=MAX_ATTEMPTS {
-        let (pbase_ns, pbase_cut) = min_wall_ns(samples, || run_with(None));
-        let (prog_ns, prog_cut) = min_wall_ns(samples, || {
-            let progress = Arc::new(Progress::new());
-            let cut = run_with_progress(Arc::clone(&progress));
-            assert_eq!(
-                progress.get(Gauge::StartsDone),
-                starts as u64,
-                "progress gauges were not updated"
-            );
-            cut
-        });
+        let [(pbase_ns, pbase_cut), (prog_ns, prog_cut)] = paired_min_wall_ns(
+            samples,
+            || run_with(None),
+            || {
+                let progress = Arc::new(Progress::new());
+                let cut = run_with_progress(Arc::clone(&progress));
+                assert_eq!(
+                    progress.get(Gauge::StartsDone),
+                    starts as u64,
+                    "progress gauges were not updated"
+                );
+                cut
+            },
+        );
         assert_eq!(pbase_cut, prog_cut, "an attached progress changed the cut");
         let prog_ratio = prog_ns as f64 / pbase_ns as f64;
         println!(
@@ -139,22 +161,25 @@ fn main() {
     });
 
     // Enabled recording + full NDJSON export, reported but not asserted.
-    let (enabled_ns, enabled_cut) = min_wall_ns(samples, || {
-        let collector = Collector::enabled();
-        let cut = run_with(Some(collector.clone()));
-        let mut sink = Vec::new();
-        TraceWriter::new(&mut sink)
-            .write_events(&collector.snapshot())
-            .expect("vec sink");
-        assert!(!sink.is_empty());
-        cut
-    });
+    let [(ebase_ns, ebase_cut), (enabled_ns, enabled_cut)] = paired_min_wall_ns(
+        samples,
+        || run_with(None),
+        || {
+            let collector = Collector::enabled();
+            let cut = run_with(Some(collector.clone()));
+            let mut sink = Vec::new();
+            TraceWriter::new(&mut sink)
+                .write_events(&collector.snapshot())
+                .expect("vec sink");
+            assert!(!sink.is_empty());
+            cut
+        },
+    );
     assert_eq!(
-        enabled_cut,
-        run_with(None),
+        ebase_cut, enabled_cut,
         "an enabled collector changed the cut"
     );
-    let enabled_ratio = enabled_ns as f64 / base_ns as f64;
+    let enabled_ratio = enabled_ns as f64 / ebase_ns as f64;
     let events = {
         let collector = Collector::enabled();
         run_with(Some(collector.clone()));

@@ -22,24 +22,25 @@ use std::io::{BufRead, Write};
 use std::process::ExitCode;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::Duration;
 
 use fhp_core::{Edit, EngineConfig, EngineError, PartitionConfig, PartitionEngine};
 use fhp_hypergraph::HypergraphBuilder;
 use fhp_obs::json::{self, Json};
-use fhp_obs::{names, Gauge, Progress, Sampler};
+use fhp_obs::{names, Gauge, Progress, Telemetry, TelemetryOptions};
 
 /// Hard cap on one request line; longer input gets an `oversized` error.
 /// The reader never buffers more than this (plus one byte) per line, so a
 /// client streaming bytes without a newline cannot grow server memory.
 const MAX_LINE_BYTES: usize = 1 << 20;
 
-/// Cap on the summed weight of all live nets (2^53 − 1). `cut` reply
-/// fields are sums of net weights emitted as JSON numbers, which are
-/// exact only up to 2^53; fingerprints already travel as strings, and
-/// this cap keeps every numeric reply field exact instead of silently
-/// rounding. Enforced at `partition` load and on `add_net` edits.
-const MAX_TOTAL_NET_WEIGHT: u64 = (1 << 53) - 1;
+/// The largest integer a JSON number carries exactly (2^53 − 1). Every
+/// integer request field must lie in `0..=MAX_EXACT`, and so must the
+/// summed weight of all live nets: `cut` reply fields are sums of net
+/// weights emitted as JSON numbers, so the cap keeps every numeric reply
+/// field exact instead of silently rounding (fingerprints already travel
+/// as strings). The sum is checked at `partition` load and on `add_net`
+/// edits.
+const MAX_EXACT: u64 = (1 << 53) - 1;
 
 struct ServeOptions {
     tcp: Option<String>,
@@ -47,9 +48,7 @@ struct ServeOptions {
     seed: u64,
     starts: usize,
     damage_permille: u32,
-    metrics: Option<String>,
-    metrics_interval: Option<u64>,
-    progress: bool,
+    telemetry: TelemetryOptions,
 }
 
 fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
@@ -59,9 +58,7 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
         seed: 0,
         starts: 8,
         damage_permille: 250,
-        metrics: None,
-        metrics_interval: None,
-        progress: false,
+        telemetry: TelemetryOptions::default(),
     };
     let mut i = 0;
     let value = |args: &[String], i: &mut usize, name: &str| -> Result<String, String> {
@@ -104,24 +101,14 @@ fn parse_serve_args(args: &[String]) -> Result<ServeOptions, String> {
                     .parse()
                     .map_err(|_| "damage permille must be an integer 0..=1000".to_string())?
             }
-            "--metrics" => opts.metrics = Some(value(args, &mut i, "--metrics")?),
-            "--metrics-interval" => {
-                let ms: u64 = value(args, &mut i, "--metrics-interval")?
-                    .parse()
-                    .map_err(|_| "metrics interval must be a positive integer (ms)".to_string())?;
-                if ms == 0 {
-                    return Err("metrics interval must be at least 1 ms".to_string());
-                }
-                opts.metrics_interval = Some(ms);
-            }
-            "--progress" => opts.progress = true,
+            flag if opts
+                .telemetry
+                .parse_flag(flag, |name| value(args, &mut i, name))? => {}
             other => return Err(format!("unknown serve option `{other}`")),
         }
         i += 1;
     }
-    if opts.metrics_interval.is_some() && opts.metrics.is_none() {
-        return Err("--metrics-interval requires --metrics".to_string());
-    }
+    opts.telemetry.validate()?;
     Ok(opts)
 }
 
@@ -135,7 +122,7 @@ struct ServerState {
     /// `serve.lat.` prefix rule; zeroed by canonicalization.
     lat: BTreeMap<&'static str, (u64, u64)>,
     /// Summed weight of the live nets, maintained across `partition` /
-    /// `add_net` / `remove_net` so the [`MAX_TOTAL_NET_WEIGHT`] cap can
+    /// `add_net` / `remove_net` so the [`MAX_EXACT`] cap can
     /// be enforced without rescanning the netlist per edit.
     total_net_weight: u64,
     threads: usize,
@@ -221,15 +208,22 @@ fn error_reply(id: Option<u64>, kind: &str, detail: &str) -> String {
     ])
 }
 
-/// Extracts a non-negative integral number field.
-fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
-    match v.get(key) {
-        Some(Json::Num(n)) if n.fract() == 0.0 && *n >= 0.0 && *n < 9.007_199_254_740_992e15 => {
-            Ok(*n as u64) // fhp-audit: allow(as-cast-truncation) — integral, non-negative and below 2^53 by the guard
+/// Reads an exact integer: a JSON number in `0..=MAX_EXACT`.
+fn exact_int(n: &Json) -> Option<u64> {
+    match n {
+        Json::Num(x) if x.fract() == 0.0 && *x >= 0.0 && *x <= MAX_EXACT as f64 => {
+            Some(*x as u64) // fhp-audit: allow(as-cast-truncation) — integral and within 0..=2^53 − 1 by the guard
         }
-        Some(_) => Err(format!("field \"{key}\" must be a non-negative integer")),
-        None => Err(format!("missing field \"{key}\"")),
+        _ => None,
     }
+}
+
+/// Extracts an integer field in `0..=MAX_EXACT`.
+fn get_u64(v: &Json, key: &str) -> Result<u64, String> {
+    let n = v
+        .get(key)
+        .ok_or_else(|| format!("missing field \"{key}\""))?;
+    exact_int(n).ok_or_else(|| format!("field \"{key}\" must be an integer in 0..={MAX_EXACT}"))
 }
 
 fn get_u64_or(v: &Json, key: &str, default: u64) -> Result<u64, String> {
@@ -243,20 +237,13 @@ fn get_u32(v: &Json, key: &str) -> Result<u32, String> {
     u32::try_from(get_u64(v, key)?).map_err(|_| format!("field \"{key}\" exceeds u32"))
 }
 
-/// Extracts an array of non-negative integers.
+/// Extracts an array of integers in `0..=MAX_EXACT`.
 fn get_u64_array(item: &Json, what: &str) -> Result<Vec<u64>, String> {
+    let err = || format!("{what} must be an array of integers in 0..={MAX_EXACT}");
     let Json::Arr(items) = item else {
-        return Err(format!("{what} must be an array of non-negative integers"));
+        return Err(err());
     };
-    items
-        .iter()
-        .map(|n| match n {
-            Json::Num(x) if x.fract() == 0.0 && *x >= 0.0 && *x < 9.007_199_254_740_992e15 => {
-                Ok(*x as u64) // fhp-audit: allow(as-cast-truncation) — integral, non-negative and below 2^53 by the guard
-            }
-            _ => Err(format!("{what} must be an array of non-negative integers")),
-        })
-        .collect()
+    items.iter().map(|n| exact_int(n).ok_or_else(err)).collect()
 }
 
 /// `partition`: build the instance from the request and (re)load the
@@ -301,9 +288,11 @@ fn handle_partition(
     let total_net_weight = net_weights
         .iter()
         .try_fold(0u64, |acc, &w| acc.checked_add(w))
-        .filter(|&t| t <= MAX_TOTAL_NET_WEIGHT)
+        .filter(|&t| t <= MAX_EXACT)
         .ok_or_else(|| {
-            format!("total net weight exceeds {MAX_TOTAL_NET_WEIGHT} (cut replies must stay exact JSON numbers)")
+            format!(
+                "total net weight exceeds {MAX_EXACT} (cut replies must stay exact JSON numbers)"
+            )
         })?;
     let seed = get_u64_or(v, "seed", state.seed)?;
     let starts =
@@ -520,12 +509,12 @@ fn dispatch(state: &mut ServerState, line: &str) -> (String, bool) {
                         .unwrap_or(0),
                     _ => 0,
                 };
-                if state.total_net_weight.saturating_add(added) > MAX_TOTAL_NET_WEIGHT {
+                if state.total_net_weight.saturating_add(added) > MAX_EXACT {
                     (
                         error_reply(
                             id,
                             "bad_request",
-                            &format!("edit would push total net weight past {MAX_TOTAL_NET_WEIGHT} (cut replies must stay exact JSON numbers)"),
+                            &format!("edit would push total net weight past {MAX_EXACT} (cut replies must stay exact JSON numbers)"),
                         ),
                         false,
                     )
@@ -686,16 +675,13 @@ fn serve_line(state: &mut ServerState, raw: &[u8]) -> Option<(String, bool)> {
     }
 }
 
-/// End-of-life metrics write: stop the sampler, print the engine's
-/// `[stats]` summary (stderr — stdout is protocol), then write (or
-/// append) the canonical gauge snapshot, mirroring the batch CLI.
-fn finalize_metrics(
-    opts: &ServeOptions,
-    progress: &Option<Arc<Progress>>,
-    sampler: Option<Sampler>,
-) {
-    if let Some(s) = sampler {
-        s.finish();
+/// End of life: finish the telemetry (stop the sampler, write the
+/// canonical gauge snapshot) as the batch CLI does, then print the
+/// engine's `[stats]` summary (stderr — stdout is protocol).
+fn finalize_metrics(telemetry: Telemetry) {
+    let progress = telemetry.progress().cloned();
+    if let Err(e) = telemetry.finish() {
+        eprintln!("[serve] error: {e}");
     }
     if let Some(p) = progress {
         // The same `[stats] <key> <value>` shape the batch CLI prints,
@@ -713,21 +699,6 @@ fn finalize_metrics(
             );
         }
     }
-    if let (Some(path), Some(p)) = (&opts.metrics, progress) {
-        p.sync_alloc_gauges();
-        let file = if opts.metrics_interval.is_some() {
-            std::fs::OpenOptions::new().append(true).open(path)
-        } else {
-            std::fs::File::create(path)
-        };
-        let write = file.and_then(|f| {
-            let mut out = std::io::BufWriter::new(f);
-            fhp_obs::progress::write_canonical_snapshot(p, &mut out)
-        });
-        if let Err(e) = write {
-            eprintln!("[serve] error: cannot write metrics {path}: {e}");
-        }
-    }
 }
 
 /// Entry point for `fhp serve …` (argv after the subcommand name).
@@ -739,35 +710,21 @@ pub fn run(args: &[String]) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    let progress = (opts.progress || opts.metrics.is_some()).then(|| Arc::new(Progress::new()));
-    let mut metrics_sink: Option<Box<dyn Write + Send>> = None;
-    if let (Some(_), Some(path)) = (opts.metrics_interval, opts.metrics.as_deref()) {
-        match std::fs::File::create(path) {
-            Ok(f) => metrics_sink = Some(Box::new(std::io::BufWriter::new(f))),
-            Err(e) => {
-                eprintln!("error: cannot create {path}: {e}");
-                return ExitCode::FAILURE;
-            }
+    let telemetry = match opts.telemetry.start() {
+        Ok(t) => t,
+        Err(e) => {
+            eprintln!("error: {e}");
+            return ExitCode::FAILURE;
         }
-    }
-    let sampler = progress.as_ref().and_then(|p| {
-        (opts.progress || metrics_sink.is_some()).then(|| {
-            let interval = Duration::from_millis(opts.metrics_interval.unwrap_or(500));
-            Sampler::spawn(Arc::clone(p), interval, opts.progress, metrics_sink.take())
-        })
-    });
+    };
     match opts.tcp.clone() {
-        Some(addr) => serve_tcp(addr, opts, progress, sampler),
-        None => serve_stdin(opts, progress, sampler),
+        Some(addr) => serve_tcp(addr, &opts, telemetry),
+        None => serve_stdin(&opts, telemetry),
     }
 }
 
-fn serve_stdin(
-    opts: ServeOptions,
-    progress: Option<Arc<Progress>>,
-    sampler: Option<Sampler>,
-) -> ExitCode {
-    let mut state = ServerState::new(&opts, progress.clone());
+fn serve_stdin(opts: &ServeOptions, telemetry: Telemetry) -> ExitCode {
+    let mut state = ServerState::new(opts, telemetry.progress().cloned());
     let stdin = std::io::stdin();
     let mut reader = stdin.lock();
     let stdout = std::io::stdout();
@@ -800,16 +757,11 @@ fn serve_stdin(
             break;
         }
     }
-    finalize_metrics(&opts, &progress, sampler);
+    finalize_metrics(telemetry);
     ExitCode::SUCCESS
 }
 
-fn serve_tcp(
-    addr: String,
-    opts: ServeOptions,
-    progress: Option<Arc<Progress>>,
-    sampler: Option<Sampler>,
-) -> ExitCode {
+fn serve_tcp(addr: String, opts: &ServeOptions, telemetry: Telemetry) -> ExitCode {
     let listener = match std::net::TcpListener::bind(&addr) {
         Ok(l) => l,
         Err(e) => {
@@ -829,11 +781,12 @@ fn serve_tcp(
     println!("[serve] listening on {local}");
     // fhp-audit: allow(ignored-result) — stdout flush failing means no one is watching; the server keeps serving
     let _ = std::io::stdout().flush();
-    let state = Arc::new(Mutex::new(ServerState::new(&opts, progress.clone())));
+    let state = Arc::new(Mutex::new(ServerState::new(
+        opts,
+        telemetry.progress().cloned(),
+    )));
     let shutting_down = Arc::new(AtomicBool::new(false));
-    let sampler = Arc::new(Mutex::new(sampler));
-    let opts = Arc::new(opts);
-    let progress = Arc::new(progress);
+    let telemetry = Arc::new(Mutex::new(Some(telemetry)));
     let mut workers = Vec::new();
     for conn in listener.incoming() {
         // fhp-audit: allow(atomic-ordering) — shutdown flag is rare and cross-thread; SeqCst keeps it trivially correct
@@ -849,13 +802,11 @@ fn serve_tcp(
         };
         let state = Arc::clone(&state);
         let shutting_down = Arc::clone(&shutting_down);
-        let sampler = Arc::clone(&sampler);
-        let opts = Arc::clone(&opts);
-        let progress = Arc::clone(&progress);
+        let telemetry = Arc::clone(&telemetry);
         let handle = std::thread::Builder::new()
             .name("fhp-serve-conn".to_string())
             .spawn(move || {
-                serve_connection(stream, &state, &shutting_down, &sampler, &opts, &progress);
+                serve_connection(stream, &state, &shutting_down, &telemetry);
             });
         match handle {
             Ok(h) => workers.push(h),
@@ -873,9 +824,7 @@ fn serve_connection(
     stream: std::net::TcpStream,
     state: &Mutex<ServerState>,
     shutting_down: &AtomicBool,
-    sampler: &Mutex<Option<Sampler>>,
-    opts: &ServeOptions,
-    progress: &Option<Arc<Progress>>,
+    telemetry: &Mutex<Option<Telemetry>>,
 ) {
     let mut reader = match stream.try_clone() {
         Ok(s) => std::io::BufReader::new(s),
@@ -917,8 +866,10 @@ fn serve_connection(
         if shutdown {
             // fhp-audit: allow(atomic-ordering) — shutdown flag is rare and cross-thread; SeqCst keeps it trivially correct
             shutting_down.store(true, Ordering::SeqCst);
-            let taken = sampler.lock().unwrap_or_else(|e| e.into_inner()).take();
-            finalize_metrics(opts, progress, taken);
+            let taken = telemetry.lock().unwrap_or_else(|e| e.into_inner()).take();
+            if let Some(t) = taken {
+                finalize_metrics(t);
+            }
             // The accept loop is blocked in `accept`; a clean shutdown
             // reply has already been flushed, so end the process here.
             std::process::exit(0);
@@ -1070,7 +1021,7 @@ mod tests {
     fn total_net_weight_is_capped_to_exact_json_numbers() {
         let mut st = state();
         // Two nets whose weights sum past 2^53 − 1: rejected at load.
-        let half = MAX_TOTAL_NET_WEIGHT / 2 + 1;
+        let half = MAX_EXACT / 2 + 1;
         let line = format!(
             "{{\"id\":1,\"verb\":\"partition\",\"modules\":4,\"nets\":[[0,1],[2,3]],\"net_weights\":[{half},{half}]}}"
         );
@@ -1079,7 +1030,7 @@ mod tests {
         // Load just below the cap, then an add_net that would cross it.
         let line = format!(
             "{{\"id\":2,\"verb\":\"partition\",\"modules\":4,\"nets\":[[0,1],[2,3]],\"net_weights\":[{},1]}}",
-            MAX_TOTAL_NET_WEIGHT - 2
+            MAX_EXACT - 2
         );
         dispatch_ok(&mut st, &line);
         let (reply, _) = dispatch(
@@ -1095,6 +1046,41 @@ mod tests {
         dispatch_ok(
             &mut st,
             "{\"id\":5,\"verb\":\"edit\",\"op\":\"add_net\",\"pins\":[0,2],\"weight\":2}",
+        );
+    }
+
+    #[test]
+    fn integer_fields_name_their_exact_bound() {
+        let mut st = state();
+        dispatch_ok(
+            &mut st,
+            "{\"id\":1,\"verb\":\"partition\",\"modules\":4,\"nets\":[[0,1],[2,3]]}",
+        );
+        let bound = "0..=9007199254740991";
+        // 2^63 and 2^53 are past the exact range; 2^53 − 1 is the last
+        // integer accepted
+        for weight in ["9223372036854775808", "9007199254740992"] {
+            let line =
+                format!("{{\"id\":2,\"verb\":\"edit\",\"op\":\"add_module\",\"weight\":{weight}}}");
+            let (reply, _) = dispatch(&mut st, &line);
+            assert!(
+                reply.contains(&format!(
+                    "field \\\"weight\\\" must be an integer in {bound}"
+                )),
+                "reply: {reply}"
+            );
+        }
+        dispatch_ok(
+            &mut st,
+            "{\"id\":3,\"verb\":\"edit\",\"op\":\"add_module\",\"weight\":9007199254740991}",
+        );
+        let (reply, _) = dispatch(
+            &mut st,
+            "{\"id\":4,\"verb\":\"edit\",\"op\":\"add_net\",\"pins\":[0,9007199254740992]}",
+        );
+        assert!(
+            reply.contains(&format!("pins must be an array of integers in {bound}")),
+            "reply: {reply}"
         );
     }
 

@@ -37,7 +37,7 @@ use crate::dual_bfs::{EndpointScratch, FrontPolicy, TwoFrontScratch};
 use crate::metrics::{CutReport, Objective, PhaseStats};
 use crate::multilevel::{MultilevelConfig, MultilevelStats};
 use crate::runner::{resolve_threads, run_starts_arena, SplitMix64};
-use crate::{Bipartition, PartitionError, Side};
+use crate::{balance, Bipartition, PartitionError, Side};
 
 /// Implemented by every bipartitioner in the workspace (Algorithm I and all
 /// baselines), so experiments and applications can treat them uniformly.
@@ -895,10 +895,12 @@ fn assemble_into(
     // Leftovers: modules touched only by losers or filtered-out large
     // signals (or isolated). Biggest first onto the lighter side keeps the
     // weights near-equal (LPT rule).
-    let mut weights = [0u64; 2];
+    let (mut wl, mut wr) = (0u64, 0u64);
     for (i, p) in placed.iter().enumerate() {
-        if let Some(s) = p {
-            weights[s.index()] += h.vertex_weight(VertexId::new(i)); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
+        match p {
+            Some(Side::Left) => wl += h.vertex_weight(VertexId::new(i)),
+            Some(Side::Right) => wr += h.vertex_weight(VertexId::new(i)),
+            None => {}
         }
     }
     leftovers.clear();
@@ -912,16 +914,10 @@ fn assemble_into(
     // (Reverse(weight), index) reproduces the stable biggest-first order
     // exactly — a stable sort would allocate its merge buffer per call.
     leftovers.sort_unstable_by_key(|&v| (std::cmp::Reverse(h.vertex_weight(v)), v.index()));
-    for &v in leftovers.iter() {
-        // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
+    let items = leftovers.iter().map(|&v| (v, h.vertex_weight(v)));
+    balance::deal((wl, wr), items, |v, side| {
         placed[v.index()] = Some(side); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-    }
+    });
 
     out.reset(h.num_vertices());
     for (i, p) in placed.iter().enumerate() {
@@ -943,17 +939,10 @@ fn pack_components(h: &Hypergraph, comp: &[u32], n_comps: usize) -> Bipartition 
     let mut order: Vec<usize> = (0..n_comps).collect();
     order.sort_by_key(|&c| std::cmp::Reverse(comp_weight[c])); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
     let mut side_of_comp = vec![Side::Left; n_comps];
-    let mut weights = [0u64; 2];
-    for c in order {
-        // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
+    let items = order.into_iter().map(|c| (c, comp_weight[c])); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
+    balance::deal((0, 0), items, |c, side| {
         side_of_comp[c] = side; // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        weights[side.index()] += comp_weight[c]; // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-    }
+    });
     let mut bp = Bipartition::from_fn(h.num_vertices(), |v| side_of_comp[comp[v.index()] as usize]); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
     ensure_valid_cut(h, &mut bp);
     bp
@@ -963,18 +952,9 @@ fn pack_components(h: &Hypergraph, comp: &[u32], n_comps: usize) -> Bipartition 
 fn balanced_fallback(h: &Hypergraph) -> Bipartition {
     let mut order: Vec<VertexId> = h.vertices().collect();
     order.sort_by_key(|&v| std::cmp::Reverse(h.vertex_weight(v)));
-    let mut weights = [0u64; 2];
     let mut bp = Bipartition::all_left(h.num_vertices());
-    for v in order {
-        // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
-        bp.set(v, side);
-        weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — ids minted by the dualizer for this graph; arrays sized at entry
-    }
+    let items = order.into_iter().map(|v| (v, h.vertex_weight(v)));
+    balance::deal((0, 0), items, |v, side| bp.set(v, side));
     bp
 }
 

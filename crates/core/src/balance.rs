@@ -45,3 +45,56 @@ pub fn imbalance_after_move(left: u64, right: u64, w: u64, from: Side) -> u64 {
     };
     source.saturating_sub(w).abs_diff(target.saturating_add(w))
 }
+
+/// The side to receive the next module given side weights `left` and
+/// `right`: the lighter one, ties going Left. Algorithm I sends its
+/// remaining modules there (§2.3), and every greedy balancer in the
+/// workspace uses this one rule.
+///
+/// # Examples
+///
+/// ```
+/// use fhp_core::{balance, Side};
+///
+/// assert_eq!(balance::lighter(3, 5), Side::Left);
+/// assert_eq!(balance::lighter(4, 4), Side::Left);
+/// assert_eq!(balance::lighter(5, 3), Side::Right);
+/// ```
+pub fn lighter(left: u64, right: u64) -> Side {
+    if left <= right {
+        Side::Left
+    } else {
+        Side::Right
+    }
+}
+
+/// Deals weighted `items` in order, each onto the [`lighter`] side of the
+/// running side weights (starting at `start`), and tells `place` where
+/// each went. With the items biggest first this is the LPT rule.
+///
+/// # Examples
+///
+/// ```
+/// use fhp_core::{balance, Side};
+///
+/// let mut sides = Vec::new();
+/// balance::deal((0, 0), [('a', 5), ('b', 3), ('c', 2)], |item, side| {
+///     sides.push((item, side))
+/// });
+/// assert_eq!(sides, [('a', Side::Left), ('b', Side::Right), ('c', Side::Right)]);
+/// ```
+pub fn deal<T>(
+    start: (u64, u64),
+    items: impl IntoIterator<Item = (T, u64)>,
+    mut place: impl FnMut(T, Side),
+) {
+    let (mut left, mut right) = start;
+    for (item, w) in items {
+        let side = lighter(left, right);
+        match side {
+            Side::Left => left += w,
+            Side::Right => right += w,
+        }
+        place(item, side);
+    }
+}

@@ -34,7 +34,7 @@ use fhp_hypergraph::{Graph, Hypergraph, IntersectionGraph};
 
 use crate::boundary::BoundaryDecomposition;
 use crate::matching::{hopcroft_karp, konig_cover};
-use crate::Side;
+use crate::{balance, Side};
 
 /// How the boundary graph is completed.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
@@ -297,7 +297,7 @@ pub fn complete_engineer(
     // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
     while alive_count[0] + alive_count[1] > 0 {
         // Prefer the lighter side; fall back if it has no vertices left.
-        let prefer = if wl <= wr { Side::Left } else { Side::Right };
+        let prefer = balance::lighter(wl, wr);
         // fhp-audit: allow(panic-site) — G ids are dense u32 minted by the dualizer; arrays sized to n at entry
         let side = if alive_count[prefer.index()] > 0 {
             prefer

@@ -427,7 +427,9 @@ impl PartitionEngine {
                 })
             }
             Edit::AddModule { weight } => {
-                let lighter = derived.lighter_side();
+                // a new module joins the lighter side
+                let [left, right] = derived.side_weight;
+                let lighter = balance::lighter(left, right);
                 let id = nl.add_module(*weight)?;
                 self.sides.push(lighter);
                 self.stats.work += derived.add_module(id, *weight, lighter);
@@ -751,17 +753,6 @@ impl Derived {
     /// The heaviest live module weight (0 with no live module).
     fn heaviest(&self) -> u64 {
         self.weights.keys().next_back().copied().unwrap_or(0)
-    }
-
-    /// The side with the smaller live weight (ties go Left) — the
-    /// deterministic placement of freshly added modules.
-    fn lighter_side(&self) -> Side {
-        let [left, right] = self.side_weight;
-        if right < left {
-            Side::Right
-        } else {
-            Side::Left
-        }
     }
 
     /// Whether a net has pins on both sides (dead nets never do).

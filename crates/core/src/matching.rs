@@ -29,7 +29,7 @@ impl Matching {
     /// # Panics
     ///
     /// Panics if `v` is out of range.
-    pub fn mate(&self, v: u32) -> Option<u32> {
+    fn mate(&self, v: u32) -> Option<u32> {
         self.mate[v as usize] // fhp-audit: allow(panic-site) — match/queue arrays sized to the graph at entry; ids in-range by construction
     }
 

@@ -7,7 +7,7 @@
 //! Fiduccia–Mattheyses prescribe; its consistency against the ground-truth
 //! metrics is property-tested.
 
-use crate::{metrics, Bipartition, Side};
+use crate::{balance, metrics, Bipartition, Side};
 use fhp_hypergraph::{Hypergraph, VertexId};
 
 /// Incrementally-maintained cut state for single-vertex moves.
@@ -306,18 +306,9 @@ pub fn random_balanced_start<R: rand::Rng + ?Sized>(h: &Hypergraph, rng: &mut R)
     use rand::seq::SliceRandom;
     let mut order: Vec<VertexId> = h.vertices().collect();
     order.shuffle(rng);
-    let mut weights = [0u64; 2];
     let mut bp = Bipartition::all_left(h.num_vertices());
-    for v in order {
-        // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-        let side = if weights[0] <= weights[1] {
-            Side::Left
-        } else {
-            Side::Right
-        };
-        bp.set(v, side);
-        weights[side.index()] += h.vertex_weight(v); // fhp-audit: allow(panic-site) — gain/locked buffers sized to the graph at entry; ids in-range by construction
-    }
+    let items = order.into_iter().map(|v| (v, h.vertex_weight(v)));
+    balance::deal((0, 0), items, |v, side| bp.set(v, side));
     bp
 }
 

@@ -207,13 +207,21 @@ pub fn coarsen_sequence(
     ml: &MultilevelConfig,
 ) -> Result<Vec<Contraction>, PartitionError> {
     let cap = coarsen_cap(h, ml);
-    let mut levels = Vec::new();
-    let mut current = h.clone();
-    while let Some(c) = next_level(&current, ml, cap, None)? {
-        current = c.coarse().clone();
+    let mut levels: Vec<Contraction> = Vec::new();
+    while let Some(c) = next_level(level_graph(h, &levels, levels.len()), ml, cap, None)? {
         levels.push(c);
     }
     Ok(levels)
+}
+
+/// The hypergraph at depth `i` of a hierarchy over `h`: `h` itself for
+/// `i = 0`, else level `i − 1`'s coarse side — so depth `i` is level `i`'s
+/// fine side, and depth `levels.len()` the coarsest hypergraph. Every
+/// level is held once, by its [`Contraction`].
+fn level_graph<'a>(h: &'a Hypergraph, levels: &'a [Contraction], i: usize) -> &'a Hypergraph {
+    i.checked_sub(1)
+        .and_then(|j| levels.get(j))
+        .map_or(h, Contraction::coarse)
 }
 
 /// `a` strictly beats `b` under `obj`: lower score, or equal score and
@@ -258,22 +266,18 @@ pub(crate) fn run_vcycle(
     };
 
     // ---- cycle 1: free coarsening ------------------------------------
-    let mut fines: Vec<Hypergraph> = Vec::new(); // fine side of levels[i]
     let mut levels: Vec<Contraction> = Vec::new();
     let mut level_sizes = vec![h.num_vertices()];
-    let mut current = h.clone();
     loop {
         let scope = collector.scope(next_scope(), None);
         let span = scope.span(names::ML_COARSEN);
-        let Some(c) = next_level(&current, ml, cap, None)? else {
+        let Some(c) = next_level(level_graph(h, &levels, levels.len()), ml, cap, None)? else {
             drop(span);
             break; // scope dropped unadopted: no trailing empty level
         };
-        let coarse = c.coarse().clone();
-        scope.counter(names::ML_LEVEL_SIZE, coarse.num_vertices() as u64);
-        scope.counter(names::ML_LEVEL_EDGES, coarse.num_edges() as u64);
-        level_sizes.push(coarse.num_vertices());
-        fines.push(std::mem::replace(&mut current, coarse));
+        scope.counter(names::ML_LEVEL_SIZE, c.coarse().num_vertices() as u64);
+        scope.counter(names::ML_LEVEL_EDGES, c.coarse().num_edges() as u64);
+        level_sizes.push(c.coarse().num_vertices());
         levels.push(c);
         drop(span);
         collector.adopt(scope.finish());
@@ -285,10 +289,11 @@ pub(crate) fn run_vcycle(
     // ---- coarsest-level initial partition ----------------------------
     let scope = collector.scope(next_scope(), None);
     let span = scope.span(names::ML_INITIAL);
-    let coarse_out = Algorithm1::new(flat_config).run(&current)?;
-    let mut bp = refiner.refine_with(&current, coarse_out.bipartition, &mut fm);
+    let coarsest = level_graph(h, &levels, levels.len());
+    let coarse_out = Algorithm1::new(flat_config).run(coarsest)?;
+    let mut bp = refiner.refine_with(coarsest, coarse_out.bipartition, &mut fm);
     drop(span);
-    let coarsest_cut = metrics::cut_size(&current, &bp);
+    let coarsest_cut = metrics::cut_size(coarsest, &bp);
     record_fm_work(&scope, fm.take_work());
     scope.counter(names::ML_COARSEST_CUT, coarsest_cut as u64);
     collector.adopt(scope.finish());
@@ -297,7 +302,8 @@ pub(crate) fn run_vcycle(
     let mut level_cuts = vec![coarsest_cut];
 
     // ---- uncoarsen: project + refine level by level ------------------
-    for (c, fine) in levels.iter().zip(fines.iter()).rev() {
+    for (i, c) in levels.iter().enumerate().rev() {
+        let fine = level_graph(h, &levels, i);
         let scope = collector.scope(next_scope(), None);
         let span = scope.span(names::ML_REFINE);
         bp = Bipartition::from_sides(c.project(bp.as_slice()));
@@ -311,6 +317,9 @@ pub(crate) fn run_vcycle(
         level_partitions.push(bp.clone());
         level_cuts.push(cut);
     }
+    // the first cycle's hierarchy is done with; only its depth is reported
+    let num_levels = levels.len();
+    drop(levels);
     let first_cycle_cut = metrics::cut_size(h, &bp);
     let mut cycle_cuts = vec![first_cycle_cut];
     if let Some(p) = progress {
@@ -337,6 +346,8 @@ pub(crate) fn run_vcycle(
         }
     }
 
+    drop(fm); // no refinement runs past the finest level
+
     // ---- flat guard --------------------------------------------------
     let flat_out = Algorithm1::new(flat_config).run(h)?;
     let flat_cut = flat_out.report.cut_size;
@@ -349,7 +360,7 @@ pub(crate) fn run_vcycle(
 
     let report = CutReport::new(h, &bp);
     let summary = collector.scope(order::SUMMARY, None);
-    summary.counter(names::ML_LEVELS, levels.len() as u64);
+    summary.counter(names::ML_LEVELS, num_levels as u64);
     summary.counter(names::ML_VCYCLES, ml.vcycles as u64);
     summary.counter(names::ML_FLAT_GUARD_CUT, flat_cut as u64);
     summary.counter(names::ML_USED_FLAT_GUARD, u64::from(used_flat_guard));
@@ -357,7 +368,7 @@ pub(crate) fn run_vcycle(
     collector.adopt(summary.finish());
 
     base_stats.multilevel = Some(MultilevelStats {
-        levels: levels.len(),
+        levels: num_levels,
         level_sizes,
         coarsest_cut,
         level_partitions,
@@ -394,13 +405,12 @@ fn respecting_cycle(
     refiner: &FmRefiner,
     fm: &mut FmScratch,
 ) -> Result<Bipartition, PartitionError> {
-    let mut fines: Vec<Hypergraph> = Vec::new();
     let mut levels: Vec<Contraction> = Vec::new();
     let mut sides: Vec<Side> = incumbent.as_slice().to_vec();
-    let mut current = h.clone();
     loop {
         let groups: Vec<u32> = sides.iter().map(|s| s.index() as u32).collect(); // fhp-audit: allow(as-cast-truncation) — side index is 0 or 1
-        let Some(c) = next_level(&current, ml, cap, Some(&groups))? else {
+        let coarsest = level_graph(h, &levels, levels.len());
+        let Some(c) = next_level(coarsest, ml, cap, Some(&groups))? else {
             break;
         };
         // every cluster is same-side by construction; its coarse vertex
@@ -412,13 +422,13 @@ fn respecting_cycle(
             }
         }
         sides = coarse_sides;
-        fines.push(std::mem::replace(&mut current, c.coarse().clone()));
         levels.push(c);
     }
-    let mut bp = refiner.refine_with(&current, Bipartition::from_sides(sides), fm);
-    for (c, fine) in levels.iter().zip(fines.iter()).rev() {
+    let coarsest = level_graph(h, &levels, levels.len());
+    let mut bp = refiner.refine_with(coarsest, Bipartition::from_sides(sides), fm);
+    for (i, c) in levels.iter().enumerate().rev() {
         bp = Bipartition::from_sides(c.project(bp.as_slice()));
-        bp = refiner.refine_with(fine, bp, fm);
+        bp = refiner.refine_with(level_graph(h, &levels, i), bp, fm);
     }
     Ok(bp)
 }

@@ -15,7 +15,8 @@
 use fhp_hypergraph::subhypergraph::Subhypergraph;
 use fhp_hypergraph::{EdgeId, Hypergraph, VertexId};
 
-use crate::{metrics, Bipartition, Bipartitioner, PartitionError, Side};
+use crate::moves::MoveState;
+use crate::{Bipartition, Bipartitioner, PartitionError, Side};
 
 /// An assignment of every vertex to one of `k` blocks.
 ///
@@ -78,7 +79,7 @@ impl Multipartition {
 
     /// Number of distinct blocks net `e` touches (its *connectivity*
     /// `λ(e)`).
-    pub fn net_spread(&self, h: &Hypergraph, e: EdgeId) -> usize {
+    fn net_spread(&self, h: &Hypergraph, e: EdgeId) -> usize {
         let mut seen = vec![false; self.k];
         let mut spread = 0;
         for &p in h.pins(e) {
@@ -162,26 +163,7 @@ fn split<F>(
     // of slack total, absorbed by the repair pass).
     let cap_left = (cells.len() * k_left).div_ceil(k);
     let cap_right = (cells.len() * k_right).div_ceil(k);
-
-    let sub = Subhypergraph::induce(h, cells);
-    let mut bp = if sub.hypergraph().num_vertices() >= 2 {
-        match factory(region).bipartition(sub.hypergraph()) {
-            Ok(bp) => bp,
-            Err(_) => even_split(cells.len(), cap_left),
-        }
-    } else {
-        Bipartition::all_left(cells.len())
-    };
-    repair(sub.hypergraph(), &mut bp, cap_left, cap_right);
-
-    let mut left = Vec::new();
-    let mut right = Vec::new();
-    for (i, &v) in cells.iter().enumerate() {
-        match bp.side(VertexId::new(i)) {
-            Side::Left => left.push(v),
-            Side::Right => right.push(v),
-        }
-    }
+    let (left, right) = bisect_region(h, cells, &*factory(region), cap_left, cap_right);
     split(h, &left, first_block, k_left, region * 2, factory, block_of);
     split(
         h,
@@ -194,6 +176,40 @@ fn split<F>(
     );
 }
 
+/// Bisects the region `cells` of `h` into a left part of at most
+/// `cap_left` cells and a right part of at most `cap_right`: runs
+/// `partitioner` on the induced sub-hypergraph (an even split if it fails
+/// or the region has fewer than two cells), then moves min-damage cells
+/// off an over-capacity side. Returns each side's cells in `cells` order.
+/// Recursive bisection and min-cut placement both split their regions
+/// here.
+pub fn bisect_region(
+    h: &Hypergraph,
+    cells: &[VertexId],
+    partitioner: &dyn Bipartitioner,
+    cap_left: usize,
+    cap_right: usize,
+) -> (Vec<VertexId>, Vec<VertexId>) {
+    let sub = Subhypergraph::induce(h, cells);
+    let bp = if cells.len() >= 2 {
+        partitioner
+            .bipartition(sub.hypergraph())
+            .unwrap_or_else(|_| even_split(cells.len(), cap_left))
+    } else {
+        Bipartition::all_left(cells.len())
+    };
+    let bp = repair(sub.hypergraph(), bp, cap_left, cap_right);
+    let mut left = Vec::new();
+    let mut right = Vec::new();
+    for (i, &v) in cells.iter().enumerate() {
+        match bp.side(VertexId::new(i)) {
+            Side::Left => left.push(v),
+            Side::Right => right.push(v),
+        }
+    }
+    (left, right)
+}
+
 fn even_split(n: usize, cap_left: usize) -> Bipartition {
     Bipartition::from_fn(n, |v| {
         if v.index() < cap_left.min(n) {
@@ -204,49 +220,28 @@ fn even_split(n: usize, cap_left: usize) -> Bipartition {
     })
 }
 
-/// Moves min-damage cells off an over-capacity side (FM gains against live
-/// pin counts) until both sides fit.
-fn repair(sub: &Hypergraph, bp: &mut Bipartition, cap_left: usize, cap_right: usize) {
-    let mut counts = metrics::pin_counts(sub, bp);
+/// Moves cells off an over-capacity side until both sides fit, each time
+/// the first cell in vertex order with the maximum FM gain (the least
+/// cut damage).
+fn repair(sub: &Hypergraph, bp: Bipartition, cap_left: usize, cap_right: usize) -> Bipartition {
+    let mut st = MoveState::new(sub, bp);
     loop {
-        let (l, r) = bp.counts();
+        let (l, r) = st.partition().counts();
         let from = if l > cap_left {
             Side::Left
         } else if r > cap_right {
             Side::Right
         } else {
-            return;
+            break;
         };
-        let mut best: Option<(i64, VertexId)> = None;
-        for v in sub.vertices() {
-            if bp.side(v) != from {
-                continue;
-            }
-            let mut gain = 0i64;
-            for &e in sub.edges_of(v) {
-                let w = sub.edge_weight(e) as i64;
-                let c = counts[e.index()]; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-                let (f, t) = (from.index(), from.opposite().index());
-                // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-                if c[f] == 1 && c[t] > 0 {
-                    gain += w;
-                // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-                } else if c[t] == 0 && c[f] > 1 {
-                    gain -= w;
-                }
-            }
-            if best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, v));
-            }
-        }
-        let Some((_, v)) = best else { return };
-        let from_idx = from.index();
-        for &e in sub.edges_of(v) {
-            counts[e.index()][from_idx] -= 1; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-            counts[e.index()][1 - from_idx] += 1; // fhp-audit: allow(panic-site) — block ids bounded by k, validated at entry
-        }
-        bp.flip(v);
+        let best = sub
+            .vertices()
+            .filter(|&v| st.side(v) == from)
+            .min_by_key(|&v| std::cmp::Reverse(st.gain(v)));
+        let Some(v) = best else { break };
+        st.apply_flip(v);
     }
+    st.into_partition()
 }
 
 #[cfg(test)]

@@ -24,7 +24,6 @@ pub const UNREACHED: u32 = u32::MAX;
 /// let levels = bfs::bfs(&g, 0);
 /// assert_eq!(levels.dist(3), Some(3));
 /// assert_eq!(levels.depth(), 3);
-/// assert_eq!(levels.farthest(), 3);
 /// ```
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct BfsLevels {
@@ -87,7 +86,7 @@ impl BfsLevels {
     /// A vertex at maximum distance from the source. The *last visited*
     /// deepest vertex is returned, which for the partitioner's purposes is
     /// an arbitrary deterministic representative.
-    pub fn farthest(&self) -> u32 {
+    fn farthest(&self) -> u32 {
         self.farthest
     }
 

@@ -98,14 +98,6 @@ impl Graph {
         self.offsets[v as usize + 1] - self.offsets[v as usize] // fhp-audit: allow(panic-site) — CSR invariant: offsets/adjacency validated by GraphBuilder before construction
     }
 
-    /// Maximum degree over all vertices (0 for the empty graph).
-    pub fn max_degree(&self) -> usize {
-        (0..self.num_vertices() as u32) // fhp-audit: allow(as-cast-truncation) — vertex count fits u32 by the VertexId representation
-            .map(|v| self.degree(v))
-            .max()
-            .unwrap_or(0)
-    }
-
     /// True if `u` and `v` are adjacent (binary search on `u`'s list).
     pub fn has_edge(&self, u: u32, v: u32) -> bool {
         self.neighbors(u).binary_search(&v).is_ok()
@@ -378,7 +370,6 @@ mod tests {
         assert_eq!(g.neighbors(0), &[1]);
         assert_eq!(g.neighbors(1), &[0, 2]);
         assert_eq!(g.neighbors(3), &[2]);
-        assert_eq!(g.max_degree(), 2);
     }
 
     #[test]
@@ -415,10 +406,8 @@ mod tests {
         let g = Graph::empty(3);
         assert_eq!(g.num_vertices(), 3);
         assert_eq!(g.num_edges(), 0);
-        assert_eq!(g.max_degree(), 0);
         let g0 = Graph::empty(0);
         assert_eq!(g0.num_vertices(), 0);
-        assert_eq!(g0.max_degree(), 0);
     }
 
     #[test]

@@ -44,7 +44,7 @@ impl Subhypergraph {
     /// # Panics
     ///
     /// Panics if `keep` contains an out-of-range or duplicate vertex, or
-    /// overflows `u32` child ids (see [`Subhypergraph::try_induce`]).
+    /// overflows `u32` child ids.
     pub fn induce(h: &Hypergraph, keep: &[VertexId]) -> Self {
         // fhp-audit: allow(panic-site) — dense remap arrays built in this function before use
         Self::try_induce(h, keep).expect("keep set overflows u32 child vertex ids")
@@ -58,7 +58,7 @@ impl Subhypergraph {
     ///
     /// Still panics if `keep` contains an out-of-range or duplicate
     /// vertex — those are caller bugs, not input-size conditions.
-    pub fn try_induce(h: &Hypergraph, keep: &[VertexId]) -> Result<Self, BuildGraphError> {
+    fn try_induce(h: &Hypergraph, keep: &[VertexId]) -> Result<Self, BuildGraphError> {
         const ABSENT: u32 = u32::MAX;
         if u32::try_from(keep.len()).map_or(true, |n| n == ABSENT) {
             return Err(BuildGraphError::TooManyVertices { found: keep.len() });
@@ -101,15 +101,6 @@ impl Subhypergraph {
         &self.hypergraph
     }
 
-    /// The parent vertex behind child vertex `v`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `v` is out of range.
-    pub fn parent_vertex(&self, v: VertexId) -> VertexId {
-        self.parent_vertex[v.index()] // fhp-audit: allow(panic-site) — dense remap arrays built in this function before use
-    }
-
     /// The parent edge behind child edge `e`.
     ///
     /// # Panics
@@ -150,7 +141,7 @@ mod tests {
         for e in sub.hypergraph().edges() {
             let parent = sub.parent_edge(e);
             for &p in sub.hypergraph().pins(e) {
-                let pp = sub.parent_vertex(p);
+                let pp = sub.parent_vertices()[p.index()];
                 assert!(h.pins(parent).contains(&pp));
                 assert!(keep.contains(&pp));
             }
@@ -187,9 +178,7 @@ mod tests {
         let h = paper_example();
         let keep = vec![VertexId::new(5), VertexId::new(1)];
         let sub = Subhypergraph::induce(&h, &keep);
-        assert_eq!(sub.parent_vertex(VertexId::new(0)), VertexId::new(5));
-        assert_eq!(sub.parent_vertex(VertexId::new(1)), VertexId::new(1));
-        assert_eq!(sub.parent_vertices(), &keep[..]);
+        assert_eq!(sub.parent_vertices(), &[VertexId::new(5), VertexId::new(1)]);
     }
 
     #[test]

@@ -45,7 +45,7 @@ pub mod writer;
 pub use collector::{Collector, Scope, ScopeEvents, SpanGuard};
 pub use event::{counter_total, span_total_ns, Counter, Event, EventKind, FieldValue};
 pub use histogram::{Histogram, NUM_BUCKETS};
-pub use progress::{Gauge, Progress, Sampler};
+pub use progress::{Gauge, Progress, Sampler, Telemetry, TelemetryOptions};
 pub use writer::{canonical_line, folded_stacks, is_volatile_event, ndjson_line, TraceWriter};
 
 /// Deterministic scope merge keys. Callers pick a key per scope from run

@@ -465,6 +465,126 @@ impl Drop for Sampler {
     }
 }
 
+/// The live-telemetry flags every front end takes: `--progress`,
+/// `--metrics FILE` and `--metrics-interval MS`.
+#[derive(Clone, Debug, Default, PartialEq, Eq)]
+pub struct TelemetryOptions {
+    /// Render `[progress]` lines to stderr while the process runs.
+    pub progress: bool,
+    /// Write the canonical end-of-run gauge snapshot to this file.
+    pub metrics: Option<String>,
+    /// Also stream timestamped samples into the metrics file every this
+    /// many milliseconds.
+    pub metrics_interval: Option<u64>,
+}
+
+impl TelemetryOptions {
+    /// Takes `flag` if it is a telemetry flag, reading its operand
+    /// through `value` (called with the flag's name); `Ok(false)` means
+    /// it is not one. Errors are `value`'s or a bad interval's message.
+    pub fn parse_flag(
+        &mut self,
+        flag: &str,
+        value: impl FnOnce(&str) -> Result<String, String>,
+    ) -> Result<bool, String> {
+        match flag {
+            "--progress" => self.progress = true,
+            "--metrics" => self.metrics = Some(value(flag)?),
+            "--metrics-interval" => {
+                let ms: u64 = value(flag)?
+                    .parse()
+                    .map_err(|_| "metrics interval must be a positive integer (ms)".to_string())?;
+                if ms == 0 {
+                    return Err("metrics interval must be at least 1 ms".to_string());
+                }
+                self.metrics_interval = Some(ms);
+            }
+            _ => return Ok(false),
+        }
+        Ok(true)
+    }
+
+    /// Checks the parsed flags against each other: `--metrics-interval`
+    /// needs `--metrics`.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.metrics_interval.is_some() && self.metrics.is_none() {
+            return Err("--metrics-interval requires --metrics".to_string());
+        }
+        Ok(())
+    }
+
+    /// True if any telemetry was asked for.
+    pub fn enabled(&self) -> bool {
+        self.progress || self.metrics.is_some()
+    }
+
+    /// Starts the lifecycle: a gauge registry if any telemetry was asked
+    /// for, and a sampler thread if `[progress]` lines or a sample stream
+    /// were (every `metrics_interval` ms, else every 500 ms). Fails if
+    /// the metrics file that samples stream into cannot be created.
+    pub fn start(&self) -> Result<Telemetry, String> {
+        let progress = self.enabled().then(|| Arc::new(Progress::new()));
+        let mut sink: Option<Box<dyn Write + Send>> = None;
+        if let (Some(_), Some(path)) = (self.metrics_interval, self.metrics.as_deref()) {
+            let file =
+                std::fs::File::create(path).map_err(|e| format!("cannot create {path}: {e}"))?;
+            sink = Some(Box::new(std::io::BufWriter::new(file)));
+        }
+        let sampler = progress.as_ref().and_then(|p| {
+            (self.progress || sink.is_some()).then(|| {
+                let interval = Duration::from_millis(self.metrics_interval.unwrap_or(500));
+                Sampler::spawn(Arc::clone(p), interval, self.progress, sink)
+            })
+        });
+        Ok(Telemetry {
+            progress,
+            sampler,
+            metrics: self.metrics.clone(),
+            append: self.metrics_interval.is_some(),
+        })
+    }
+}
+
+/// A started telemetry lifecycle (see [`TelemetryOptions::start`]):
+/// the gauge registry the run updates and its sampler.
+#[derive(Debug)]
+pub struct Telemetry {
+    progress: Option<Arc<Progress>>,
+    sampler: Option<Sampler>,
+    metrics: Option<String>,
+    append: bool,
+}
+
+impl Telemetry {
+    /// The gauge registry, if any telemetry was asked for.
+    pub fn progress(&self) -> Option<&Arc<Progress>> {
+        self.progress.as_ref()
+    }
+
+    /// Ends the lifecycle: stops the sampler, then writes the canonical
+    /// snapshot to the metrics file — appended after the streamed samples
+    /// when an interval was set, else as the whole file (byte-identical
+    /// across thread counts). Fails if the file cannot be written.
+    pub fn finish(self) -> Result<(), String> {
+        if let Some(p) = &self.progress {
+            p.sync_alloc_gauges();
+        }
+        if let Some(s) = self.sampler {
+            s.finish();
+        }
+        let (Some(path), Some(p)) = (&self.metrics, &self.progress) else {
+            return Ok(());
+        };
+        let file = if self.append {
+            std::fs::OpenOptions::new().append(true).open(path)
+        } else {
+            std::fs::File::create(path)
+        };
+        file.and_then(|f| write_canonical_snapshot(p, &mut std::io::BufWriter::new(f)))
+            .map_err(|e| format!("cannot write {path}: {e}"))
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

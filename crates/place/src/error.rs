@@ -3,7 +3,6 @@
 use std::error::Error;
 use std::fmt;
 
-use fhp_core::PartitionError;
 use fhp_hypergraph::VertexId;
 
 use crate::Slot;
@@ -33,8 +32,6 @@ pub enum PlaceError {
         /// The bad slot.
         slot: Slot,
     },
-    /// The underlying bipartitioner failed on a region.
-    Partition(PartitionError),
 }
 
 impl fmt::Display for PlaceError {
@@ -49,25 +46,11 @@ impl fmt::Display for PlaceError {
             Self::SlotOutOfRange { module, slot } => {
                 write!(f, "module {module} assigned out-of-range slot {slot}")
             }
-            Self::Partition(e) => write!(f, "region partitioning failed: {e}"),
         }
     }
 }
 
-impl Error for PlaceError {
-    fn source(&self) -> Option<&(dyn Error + 'static)> {
-        match self {
-            Self::Partition(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<PartitionError> for PlaceError {
-    fn from(e: PartitionError) -> Self {
-        Self::Partition(e)
-    }
-}
+impl Error for PlaceError {}
 
 #[cfg(test)]
 mod tests {
@@ -81,9 +64,6 @@ mod tests {
         };
         assert!(e.to_string().contains("10"));
         assert!(e.source().is_none());
-        let p = PlaceError::from(PartitionError::TooFewVertices { found: 1 });
-        assert!(p.source().is_some());
-        assert!(p.to_string().contains("region"));
     }
 
     #[test]

@@ -10,8 +10,10 @@
 //! toward their external pins, using the evolving region centers of
 //! not-yet-fixed modules.
 
-use fhp_core::{metrics, Bipartition, Bipartitioner, Side};
-use fhp_hypergraph::subhypergraph::Subhypergraph;
+use std::collections::HashMap;
+
+use fhp_core::multiway::bisect_region;
+use fhp_core::Bipartitioner;
 use fhp_hypergraph::{Hypergraph, VertexId};
 
 use crate::{PlaceError, Placement, Slot, SlotGrid};
@@ -116,7 +118,7 @@ where
     ///
     /// # Errors
     ///
-    /// Propagates [`PlaceError`] from grid validation or partitioning.
+    /// Propagates [`PlaceError`] from grid validation.
     pub fn place_row(&self, h: &Hypergraph) -> Result<Placement, PlaceError> {
         self.place(h, SlotGrid::row(h.num_vertices().max(1)))
     }
@@ -125,9 +127,8 @@ where
     ///
     /// # Errors
     ///
-    /// [`PlaceError::GridTooSmall`] if the modules outnumber the slots;
-    /// [`PlaceError::Partition`] if a region's bipartitioner fails
-    /// irrecoverably.
+    /// [`PlaceError::GridTooSmall`] if the modules outnumber the slots. A
+    /// region whose bipartitioner fails is split evenly instead.
     pub fn place(&self, h: &Hypergraph, grid: SlotGrid) -> Result<Placement, PlaceError> {
         if h.num_vertices() > grid.num_slots() {
             return Err(PlaceError::GridTooSmall {
@@ -171,7 +172,7 @@ where
                 }
                 let (half_a, half_b) = rect.split();
                 let (left, right) =
-                    self.split_cells(h, &cells, &approx, (half_a, half_b), region_id)?;
+                    self.split_cells(h, &cells, &approx, (half_a, half_b), region_id);
                 for &v in &left {
                     approx[v.index()] = half_a.center();
                 }
@@ -186,8 +187,8 @@ where
         Placement::new(grid, slots)
     }
 
-    /// Bipartitions `cells` for the two halves, repairs capacity, and
-    /// orients the result by terminal attraction.
+    /// Bisects `cells` to fit the two halves and orients the result by
+    /// terminal attraction.
     fn split_cells(
         &self,
         h: &Hypergraph,
@@ -195,122 +196,43 @@ where
         approx: &[(f64, f64)],
         (half_a, half_b): (Rect, Rect),
         region_id: u64,
-    ) -> Result<(Vec<VertexId>, Vec<VertexId>), PlaceError> {
-        let sub = Subhypergraph::induce(h, cells);
-        let mut bp = if sub.hypergraph().num_vertices() >= 2 {
-            match (self.factory)(region_id).bipartition(sub.hypergraph()) {
-                Ok(bp) => bp,
-                // A region with no internal signals can legitimately make
-                // some partitioners unhappy; fall back to an even split.
-                Err(_) => Bipartition::from_fn(cells.len(), |v| {
-                    if v.index() < cells.len() / 2 {
-                        Side::Left
-                    } else {
-                        Side::Right
-                    }
-                }),
-            }
-        } else {
-            Bipartition::all_left(cells.len())
-        };
-
-        repair_capacity(sub.hypergraph(), &mut bp, half_a.area(), half_b.area());
-
-        if self.terminal_alignment {
-            let keep = orientation_cost(h, &sub, &bp, approx, half_a, half_b);
-            let mut mirrored = bp.clone();
-            mirrored.mirror();
-            // mirroring swaps counts, so only compare when both fit
-            let (l, r) = mirrored.counts();
-            if l <= half_a.area() && r <= half_b.area() {
-                let flip = orientation_cost(h, &sub, &mirrored, approx, half_a, half_b);
-                if flip < keep {
-                    bp = mirrored;
-                }
+    ) -> (Vec<VertexId>, Vec<VertexId>) {
+        let partitioner = (self.factory)(region_id);
+        let (left, right) = bisect_region(h, cells, &*partitioner, half_a.area(), half_b.area());
+        // mirroring swaps the part sizes, so only compare when both fit
+        if self.terminal_alignment && right.len() <= half_a.area() && left.len() <= half_b.area() {
+            let keep = orientation_cost(h, &left, &right, approx, half_a, half_b);
+            let flip = orientation_cost(h, &right, &left, approx, half_a, half_b);
+            if flip < keep {
+                return (right, left);
             }
         }
-
-        let mut left = Vec::new();
-        let mut right = Vec::new();
-        for (i, &v) in cells.iter().enumerate() {
-            match bp.side(VertexId::new(i)) {
-                Side::Left => left.push(v),
-                Side::Right => right.push(v),
-            }
-        }
-        Ok((left, right))
+        (left, right)
     }
 }
 
-/// Moves lowest-damage cells off an over-capacity side until both sides
-/// fit. Damage is the FM gain of the move (positive gain = the move even
-/// helps the cut), recomputed against live pin counts.
-fn repair_capacity(sub: &Hypergraph, bp: &mut Bipartition, cap_left: usize, cap_right: usize) {
-    let mut counts = metrics::pin_counts(sub, bp);
-    loop {
-        let (l, r) = bp.counts();
-        let (from, need) = if l > cap_left {
-            (Side::Left, l - cap_left)
-        } else if r > cap_right {
-            (Side::Right, r - cap_right)
-        } else {
-            return;
-        };
-        // Pick the single best move, apply, re-evaluate (need is usually
-        // tiny — a few cells per region).
-        let mut best: Option<(i64, VertexId)> = None;
-        for v in sub.vertices() {
-            if bp.side(v) != from {
-                continue;
-            }
-            let mut gain = 0i64;
-            for &e in sub.edges_of(v) {
-                let w = sub.edge_weight(e) as i64;
-                let c = counts[e.index()];
-                let (f, t) = (from.index(), from.opposite().index());
-                if c[f] == 1 && c[t] > 0 {
-                    gain += w;
-                } else if c[t] == 0 && c[f] > 1 {
-                    gain -= w;
-                }
-            }
-            if best.is_none_or(|(g, _)| gain > g) {
-                best = Some((gain, v));
-            }
-        }
-        let Some((_, v)) = best else { return };
-        for &e in sub.edges_of(v) {
-            counts[e.index()][from.index()] -= 1;
-            counts[e.index()][from.opposite().index()] += 1;
-        }
-        bp.flip(v);
-        let _ = need;
-    }
-}
-
-/// Terminal-attraction cost of an orientation: for every net with pins
-/// both inside and outside the region — including nets with a *single*
-/// internal pin, which the induced sub-hypergraph necessarily drops — the
-/// distance between the external pins' centroid and the centers of the
-/// halves its internal pins were assigned to. Lower = the orientation
-/// points internal pins toward their external partners.
+/// Terminal-attraction cost of sending `to_a` to `half_a` and `to_b` to
+/// `half_b`: for every net with pins both inside and outside the region —
+/// including nets with a *single* internal pin — the distance between the
+/// external pins' centroid and the centers of the halves its internal
+/// pins were assigned to. Lower = the orientation points internal pins
+/// toward their external partners.
 fn orientation_cost(
     h: &Hypergraph,
-    sub: &Subhypergraph,
-    bp: &Bipartition,
+    to_a: &[VertexId],
+    to_b: &[VertexId],
     approx: &[(f64, f64)],
     half_a: Rect,
     half_b: Rect,
 ) -> f64 {
-    // child index of each parent vertex inside this region
-    let mut child_of: std::collections::HashMap<VertexId, usize> = std::collections::HashMap::new();
-    for (i, &v) in sub.parent_vertices().iter().enumerate() {
-        child_of.insert(v, i);
-    }
+    // the half center of each cell inside this region
+    let mut center_of: HashMap<VertexId, (f64, f64)> = HashMap::new();
+    center_of.extend(to_a.iter().map(|&v| (v, half_a.center())));
+    center_of.extend(to_b.iter().map(|&v| (v, half_b.center())));
     // candidate nets: everything incident to a region cell, deduplicated
-    let mut candidates: Vec<fhp_hypergraph::EdgeId> = sub
-        .parent_vertices()
+    let mut candidates: Vec<fhp_hypergraph::EdgeId> = to_a
         .iter()
+        .chain(to_b)
         .flat_map(|&v| h.edges_of(v).iter().copied())
         .collect();
     candidates.sort_unstable();
@@ -319,10 +241,10 @@ fn orientation_cost(
     let mut cost = 0.0;
     for e in candidates {
         let (mut er, mut ec, mut n_ext) = (0.0, 0.0, 0usize);
-        let mut internal: Vec<usize> = Vec::new();
+        let mut internal: Vec<(f64, f64)> = Vec::new();
         for &p in h.pins(e) {
-            match child_of.get(&p) {
-                Some(&i) => internal.push(i),
+            match center_of.get(&p) {
+                Some(&center) => internal.push(center),
                 None => {
                     er += approx[p.index()].0;
                     ec += approx[p.index()].1;
@@ -335,11 +257,7 @@ fn orientation_cost(
         }
         er /= n_ext as f64;
         ec /= n_ext as f64;
-        for i in internal {
-            let center = match bp.side(VertexId::new(i)) {
-                Side::Left => half_a.center(),
-                Side::Right => half_b.center(),
-            };
+        for center in internal {
             cost += (center.0 - er).abs() + (center.1 - ec).abs();
         }
     }
